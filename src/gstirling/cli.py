@@ -223,23 +223,22 @@ def run_family(args) -> int:
 
 
 def run_verify(args) -> int:
+    options = dict(
+        alpha=args.alpha,
+        beta=args.beta,
+        alpha2=args.alpha2,
+        beta2=args.beta2,
+        lam=args.lam,
+        r=args.r,
+        m=args.m,
+        nmax=args.nmax,
+        order=args.order,
+    )
     if args.all:
+        suite.given_options("--all", (), options)
         results, notes = suite.run_all()
-    elif args.identity:
-        results, notes = suite.single_results(
-            args.identity,
-            alpha=args.alpha,
-            beta=args.beta,
-            alpha2=args.alpha2,
-            beta2=args.beta2,
-            lam=args.lam,
-            r=args.r,
-            m=args.m,
-            nmax=args.nmax,
-            order=args.order,
-        )
     else:
-        raise UsageError("provide --identity NAME or --all")
+        results, notes = suite.single_results(args.identity, **options)
     failures = sum(1 for res in results if not res.ok)
     lines = [res.line for res in results]
     lines.extend(notes)
@@ -314,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     fam.set_defaults(func=run_family)
 
     verify = _allow_negative_rationals(sub.add_parser("verify", help="check identities, printing PASS/FAIL lines"))
-    verify.add_argument("--all", action="store_true", help="run the built-in grid suite")
-    verify.add_argument("--identity", default=None)
+    which = verify.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true", help="run the built-in grid suite")
+    which.add_argument("--identity", default=None)
     verify.add_argument("--alpha", type=_rational, default=None)
     verify.add_argument("--beta", type=_rational, default=None)
     verify.add_argument("--alpha2", type=_rational, default=None)

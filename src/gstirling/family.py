@@ -16,11 +16,11 @@ from math import comb, factorial
 from .qpoly import QPolynomial
 from .rationals import rising
 from .stirling import (
-    _triangle,
     gstirling_inverse,
     lah,
     stirling1,
     stirling2,
+    triangle_rows,
 )
 
 
@@ -42,7 +42,7 @@ def poly(params: FamilyParams, n: int) -> QPolynomial:
     """Degree-n member of the family, with triangle row n as coefficients."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return QPolynomial(_triangle(params.alpha, params.beta, n)[n])
+    return QPolynomial(triangle_rows(params.alpha, params.beta, n)[n])
 
 
 def derivative_recurrence_step(params: FamilyParams, p_n: QPolynomial, n: int) -> QPolynomial:
@@ -179,7 +179,7 @@ def rebase(params_from: FamilyParams, params_to: FamilyParams, n: int) -> list[F
         raise ValueError(f"n must be >= 0, got {n}")
     a, b = params_from.alpha, params_from.beta
     a2, b2 = params_to.alpha, params_to.beta
-    composed = _triangle(a - (a2 / b2) * b, b / b2, n)[n]
+    composed = triangle_rows(a - (a2 / b2) * b, b / b2, n)[n]
     return [composed[j] if j % 2 == 0 else -composed[j] for j in range(n + 1)]
 
 
@@ -192,7 +192,7 @@ def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
     if n < 0 or m < 0:
         raise ValueError(f"n and m must be >= 0, got (n={n}, m={m})")
     a, b = params.alpha, params.beta
-    row_m = _triangle(a, b, m)[m]
+    row_m = triangle_rows(a, b, m)[m]
     out = QPolynomial.zero()
     for j in range(n + 1):
         pj = poly(params, j)
@@ -259,7 +259,7 @@ def rising_expansion(params: FamilyParams, n: int) -> RisingExpansion:
     lhs = QPolynomial.one()
     for i in range(n):
         lhs = lhs * QPolynomial((-a + i, -b))
-    row = _triangle(a, b, n)[n]
+    row = triangle_rows(a, b, n)[n]
     rhs = QPolynomial.zero()
     falling_poly = QPolynomial.one()
     for j in range(n + 1):

@@ -14,7 +14,7 @@ from math import comb, factorial
 from typing import Iterable, Mapping
 
 from .rationals import falling
-from .stirling import _triangle, stirling2
+from .stirling import stirling2, triangle_rows
 
 
 class ExpMonomialSum:
@@ -161,7 +161,7 @@ def verify_rodrigues_first(alpha, beta, n: int) -> bool:
     if not _expansion_crosscheck(e, alpha, n, n + 2):
         return False
     lhs = e.xshift(n - alpha).scale(Fraction(-1) ** n)
-    row = _triangle(alpha, beta, n)[n]
+    row = triangle_rows(alpha, beta, n)[n]
     rhs = ExpMonomialSum(beta, ((beta * k, row[k]) for k in range(n + 1)))
     return lhs == rhs
 
@@ -179,7 +179,7 @@ def verify_rodrigues_second(alpha, beta, n: int) -> bool:
         raise ValueError(f"n must be >= 0, got {n}")
     e = _nth_derivative(ExpMonomialSum.monomial(-beta, n - 1 - alpha), n)
     lhs = e.xshift(alpha + 1)
-    row = _triangle(alpha, beta, n)[n]
+    row = triangle_rows(alpha, beta, n)[n]
     rhs = ExpMonomialSum(-beta, ((-beta * k, row[k]) for k in range(n + 1)))
     return lhs == rhs
 

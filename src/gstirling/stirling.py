@@ -29,7 +29,7 @@ def _check_indices(n: int, k: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _triangle(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
+def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows 0..nmax of S(n, k) built by the triangular recurrence.
 
     S(m+1, j) = (m - alpha - beta*j) * S(m, j) - beta * S(m, j-1),
@@ -76,7 +76,7 @@ def gstirling_table(alpha, beta, nmax: int) -> GStirlingTable:
     alpha, beta = Fraction(alpha), Fraction(beta)
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    return GStirlingTable(alpha, beta, nmax, _triangle(alpha, beta, nmax))
+    return GStirlingTable(alpha, beta, nmax, triangle_rows(alpha, beta, nmax))
 
 
 def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
@@ -123,7 +123,7 @@ def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the inverse triangle requires beta != 0")
-    value = _triangle(-alpha / beta, 1 / beta, n)[n][k]
+    value = triangle_rows(-alpha / beta, 1 / beta, n)[n][k]
     return value if (n - k) % 2 == 0 else -value
 
 
@@ -247,7 +247,7 @@ def verify_rbell_connection(alpha, beta, r: int, nmax: int) -> bool:
         raise ValueError(f"r must be >= 0, got {r}")
     a = [rising(-beta, j) for j in range(1, nmax + 1)]
     b = [rising(-alpha, j) for j in range(nmax + 1)]  # b_{j+1} = rising(-alpha, j)
-    table = _triangle(r * alpha, beta, nmax)
+    table = triangle_rows(r * alpha, beta, nmax)
     for n in range(nmax + 1):
         for k in range(n + 1):
             if partial_r_bell(r, n, k, a, b) != table[n][k]:
@@ -300,9 +300,9 @@ def composition_report(alpha, beta, alpha2, beta2, nmax: int) -> CompositionRepo
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
 
-    composed = _triangle(alpha - (alpha2 / beta2) * beta, beta / beta2, nmax)
-    left = _triangle(alpha, beta, nmax)
-    right = _triangle(alpha2, beta2, nmax)
+    composed = triangle_rows(alpha - (alpha2 / beta2) * beta, beta / beta2, nmax)
+    left = triangle_rows(alpha, beta, nmax)
+    right = triangle_rows(alpha2, beta2, nmax)
 
     index_ok = True
     outer_ok = True

@@ -9,6 +9,7 @@ formatting and exit codes stay in the CLI layer.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -84,7 +85,7 @@ def _pair(alpha: Fraction, beta: Fraction) -> str:
 
 def triple_route_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool:
     """Recurrence, explicit sum, and series extraction must agree entrywise."""
-    rows = stirling._triangle(alpha, beta, nmax)
+    rows = stirling.triangle_rows(alpha, beta, nmax)
     egf = stirling.gstirling_egf(alpha, beta, nmax)
     for n in range(nmax + 1):
         for k in range(n + 1):
@@ -134,7 +135,7 @@ def recurrence_chain_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool
 
 def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int = 10) -> bool:
     """The inverse triangle times the triangle is the identity matrix."""
-    rows = stirling._triangle(alpha, beta, nmax)
+    rows = stirling.triangle_rows(alpha, beta, nmax)
     inv = [
         [stirling.gstirling_inverse(alpha, beta, n, k) for k in range(n + 1)]
         for n in range(nmax + 1)
@@ -193,7 +194,7 @@ def addition_ok(alpha: Fraction, beta: Fraction, total: int = 10) -> bool:
     for n in range(total):
         if (
             family.addition(params, n, 1).coefficients
-            != stirling._triangle(alpha, beta, n + 1)[n + 1]
+            != stirling.triangle_rows(alpha, beta, n + 1)[n + 1]
         ):
             return False
     return True
@@ -263,7 +264,7 @@ def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int = 20) -> tuple
 def log_concave_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool:
     """Newton inequality plus entrywise nonnegativity on the hypothesis set."""
     params = family.FamilyParams(alpha, beta)
-    rows = stirling._triangle(alpha, beta, nmax)
+    rows = stirling.triangle_rows(alpha, beta, nmax)
     for n in range(nmax + 1):
         if any(v < 0 for v in rows[n]):
             return False
@@ -358,7 +359,7 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
     ok = True
     for n in range(7):
         for k in range(n + 1):
-            if stirling._triangle(Fraction(-2), Fraction(-1), n)[n][k] != stirling.rlah(
+            if stirling.triangle_rows(Fraction(-2), Fraction(-1), n)[n][k] != stirling.rlah(
                 1, n + 1, k + 1
             ):
                 ok = False
@@ -367,345 +368,259 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# whole-grid run
+# the check table behind ``verify --all`` and ``verify --identity``
+#
+# A runner gets the pairs to check, the size nmax and the mode: "all" under
+# --all, "grid" or "pair" under --identity without or with --alpha/--beta.
+# It yields (detail, ok) for each PASS/FAIL line and a str for each NOTE
+# line.  Runners call the public *_ok batches by their module-global names
+# at call time, so rebinding one (a test double, a tracer) reaches both
+# entry points.
+
+
+def _triple_route(pairs, nmax, mode):
+    for a, b in pairs:
+        yield f"{_pair(a, b)} n<={nmax}", triple_route_ok(a, b, nmax)
+
+
+def _first_values(pairs, nmax, mode):
+    for a, b in pairs:
+        yield _pair(a, b), first_values_ok(a, b)
+
+
+def _recurrence_chain(pairs, nmax, mode):
+    for a, b in pairs:
+        yield f"{_pair(a, b)} n<={nmax}", recurrence_chain_ok(a, b, nmax)
+
+
+def _inverse_pair(pairs, nmax, mode):
+    for a, b in pairs:
+        yield f"{_pair(a, b)} nmax={nmax}", inverse_pair_ok(a, b, nmax)
+
+
+def _bell_basis(pairs, nmax, mode):
+    for a, b in pairs:
+        yield f"{_pair(a, b)} n<={nmax}", bell_basis_ok(a, b, nmax)
+    if mode == "all":
+        yield f"alpha=-1/2 beta=-1/2 printed-display n<={nmax}", u_bell_display_ok(nmax)
+
+
+def _rbell(pairs, nmax, mode, r=None):
+    for a, b in pairs:
+        if mode == "all":
+            yield f"{_pair(a, b)} r<=3 n<={nmax}", rbell_ok(a, b, 3, nmax)
+            continue
+        for rr in (r,) if r is not None else range(4):
+            ok = stirling.verify_rbell_connection(a, b, rr, nmax)
+            yield f"{_pair(a, b)} r={rr} n<={nmax}", ok
+
+
+def _addition(pairs, nmax, mode):
+    for a, b in pairs:
+        yield f"{_pair(a, b)} n+m<={nmax}", addition_ok(a, b, nmax)
+
+
+def _gf_derivative(pairs, nmax, mode, m=None, order=None):
+    order = nmax + 2 if order is None else order
+    ms = (m,) if m is not None else range(min(nmax, 5) + 1)
+    for a, b in pairs:
+        if mode != "pair":
+            ok = (
+                gf_derivative_ok(a, b, ms[-1], order)
+                if m is None
+                else series.verify_gf_derivative(a, b, m, order)
+            )
+            yield f"{_pair(a, b)} m<={ms[-1]} order={order}", ok
+            continue
+        for mm in ms:
+            ok = series.verify_gf_derivative(a, b, mm, order)
+            yield f"{_pair(a, b)} m={mm} order={order}", ok
+
+
+def _rodrigues(pairs, nmax, mode):
+    for a, b in pairs:
+        if mode != "pair":
+            yield f"{_pair(a, b)} n<={nmax}", rodrigues_ok(a, b, nmax)
+            continue
+        for n in range(nmax + 1):
+            ok = operators.verify_rodrigues_first(a, b, n) and (
+                operators.verify_rodrigues_second(a, b, n)
+            )
+            yield f"{_pair(a, b)} n={n}", ok
+
+
+def _bell_operator(pairs, nmax, mode, lam=None):
+    for a, b in pairs:
+        if mode != "pair":
+            yield f"{_pair(a, b)} n<={nmax}", bell_operator_ok(a, b, nmax)
+            continue
+        for lv in (Fraction(lam),) if lam is not None else (Fraction(0), Fraction(1), a / b):
+            ok = all(operators.verify_bell_operator(a, b, lv, n) for n in range(nmax + 1))
+            yield f"{_pair(a, b)} lambda={lv} n<={nmax}", ok
+
+
+def _second_pair(name, mode, alpha2, beta2):
+    """--alpha2/--beta2 on one pair; None on the grid, which uses a fixed sample."""
+    if mode != "pair":
+        if alpha2 is not None or beta2 is not None:
+            raise SuiteUsageError(f"a {name} target also needs --alpha and --beta")
+        return None
+    if alpha2 is None or beta2 is None:
+        raise SuiteUsageError(f"{name} needs --alpha2 and --beta2 for the second pair")
+    if beta2 == 0:
+        raise SuiteUsageError("beta2 must be nonzero")
+    return Fraction(alpha2), Fraction(beta2)
+
+
+def _rebase(pairs, nmax, mode, alpha2=None, beta2=None):
+    second = _second_pair("rebase", mode, alpha2, beta2)
+    for source, target in REBASE_PAIRS if second is None else ((pairs[0], second),):
+        yield (
+            f"from=({source[0]},{source[1]}) to=({target[0]},{target[1]}) n<={nmax}",
+            rebase_roundtrip_ok(source, target, nmax),
+        )
+
+
+def _lah_rebase(pairs, nmax, mode):
+    for a, b in pairs:
+        report = family.lah_rebase_report(family.FamilyParams(a, b), nmax)
+        yield f"{_pair(a, b)} n<={nmax}", report.ok
+    yield "NOTE lah-rebase sign: coefficient k carries (-1)**k (the summation index)"
+
+
+def _composition(pairs, nmax, mode, alpha2=None, beta2=None):
+    second = _second_pair("composition", mode, alpha2, beta2)
+    for a, b, a2, b2 in COMPOSITION_CASES if second is None else ((*pairs[0], *second),):
+        report = stirling.composition_report(a, b, a2, b2, nmax)
+        case = f"{_pair(a, b)} alpha2={a2} beta2={b2}"
+        yield f"{case} n<={nmax}", report.ok
+        if mode != "all":
+            yield f"NOTE composition sign for {case}: confirmed {report.confirmed_sign}"
+    if mode == "all":
+        yield "NOTE composition sign: (-1)**j with j the summation index, both identities"
+
+
+def _rising_expansion(pairs, nmax, mode):
+    for a, b in pairs:
+        params = family.FamilyParams(a, b)
+        ok = all(family.rising_expansion(params, n).equal for n in range(nmax + 1))
+        yield f"{_pair(a, b)} n<={nmax}", ok
+
+
+def _real_zeros(pairs, nmax, mode):
+    for a, b in pairs:
+        ok, checked = real_zeros_ok(a, b, max(nmax, 1))
+        # --all lists only the pairs that carry a real-rootedness claim
+        if checked or mode != "all":
+            yield f"{_pair(a, b)} region={zeros.classify_region(a, b)} degrees={checked}", ok
+
+
+def _log_concave(pairs, nmax, mode):
+    for a, b in pairs:
+        if a <= 0 and b < 0:
+            yield f"{_pair(a, b)} n<={max(nmax, 2)}", log_concave_ok(a, b, max(nmax, 2))
+        elif mode == "pair":
+            raise SuiteUsageError("log-concavity is only claimed for alpha <= 0 and beta < 0")
+
+
+def _specializations(pairs, nmax, mode):
+    for result in specializations_ok(nmax):
+        yield result.detail, result.ok
+
+
+@dataclass(frozen=True)
+class Check:
+    """One identity as ``verify`` knows it."""
+
+    name: str
+    aliases: tuple[str, ...]
+    flags: tuple[str, ...]  # options it reads besides --nmax, as keyword names
+    size: int | None  # nmax under --all; None where the size is fixed
+    run: Callable[..., Iterator[tuple[str, bool] | str]]
+    default: int = 10  # nmax under --identity without --nmax
+
+
+PAIR = ("alpha", "beta")
+
+CHECKS = (
+    Check("triple-route", ("triple",), PAIR, 12, _triple_route),
+    Check("first-values", (), PAIR, None, _first_values),
+    Check("recurrence-chain", ("lemma1",), PAIR, 12, _recurrence_chain),
+    Check("inverse-pair", ("p5",), PAIR, 10, _inverse_pair),
+    Check("bell-basis", ("p2",), PAIR, 10, _bell_basis),
+    Check("rbell", ("p3",), PAIR + ("r",), 8, _rbell),
+    Check("addition", ("c3",), PAIR, 10, _addition),
+    # size 8 checks m <= 5 at order 10
+    Check("gf-derivative", ("t2",), PAIR + ("m", "order"), 8, _gf_derivative),
+    Check("rodrigues", ("t4",), PAIR, 6, _rodrigues),
+    Check("bell-operator", ("bell-op",), PAIR + ("lam",), 5, _bell_operator),
+    Check("rebase", ("p4",), PAIR + ("alpha2", "beta2"), 6, _rebase),
+    Check("lah-rebase", ("p4-lah",), PAIR, 6, _lah_rebase),
+    Check("composition", (), PAIR + ("alpha2", "beta2"), 6, _composition),
+    Check("rising-expansion", ("c4",), PAIR, 10, _rising_expansion),
+    Check("real-zeros", ("t3",), PAIR, 20, _real_zeros),
+    Check("log-concave", ("c1",), PAIR, 12, _log_concave),
+    Check("specializations", ("families",), (), 8, _specializations, default=8),
+)
+
+IDENTITY_NAMES = tuple(check.name for check in CHECKS)
+ALIASES = {alias: check.name for check in CHECKS for alias in check.aliases}
+
+
+def _collect(runs) -> tuple[list[CheckResult], list[str]]:
+    results, notes = [], []
+    for check, lines in runs:
+        for line in lines:
+            if isinstance(line, str):
+                notes.append(line)
+            else:
+                results.append(CheckResult(check.name, *line))
+    return results, notes
+
+
+def given_options(owner: str, flags: tuple[str, ...], options: dict) -> dict:
+    """The options that were set; setting one not in ``flags`` is a usage error."""
+    given = {key: value for key, value in options.items() if value is not None}
+    for key in given:
+        if key not in flags:
+            flag = "--lambda" if key == "lam" else f"--{key}"
+            raise SuiteUsageError(f"{owner} does not take {flag}")
+    return given
 
 
 def run_all() -> tuple[list[CheckResult], list[str]]:
-    """Every identity batch on the whole built-in grid.
+    """Every identity on the whole built-in grid, each at its --all size.
 
     Returns (results, notes); notes carry resolved conventions that are
     worth printing but are not pass/fail lines.
     """
-    results: list[CheckResult] = []
-    notes: list[str] = []
-
-    for a, b in GRID:
-        results.append(CheckResult("triple-route", f"{_pair(a, b)} n<=12", triple_route_ok(a, b)))
-    for a, b in GRID:
-        results.append(CheckResult("first-values", _pair(a, b), first_values_ok(a, b)))
-    for a, b in GRID:
-        results.append(
-            CheckResult("recurrence-chain", f"{_pair(a, b)} n<=12", recurrence_chain_ok(a, b))
-        )
-    for a, b in GRID:
-        results.append(
-            CheckResult("inverse-pair", f"{_pair(a, b)} nmax=10", inverse_pair_ok(a, b))
-        )
-    for a, b in GRID:
-        results.append(
-            CheckResult("bell-basis", f"{_pair(a, b)} n<=10", bell_basis_ok(a, b))
-        )
-    results.append(
-        CheckResult("bell-basis", "alpha=-1/2 beta=-1/2 printed-display n<=10", u_bell_display_ok())
-    )
-    for a, b in GRID:
-        results.append(
-            CheckResult("rbell", f"{_pair(a, b)} r<=3 n<=8", rbell_ok(a, b))
-        )
-    for a, b in GRID:
-        results.append(
-            CheckResult("addition", f"{_pair(a, b)} n+m<=10", addition_ok(a, b))
-        )
-    for a, b in GRID:
-        results.append(
-            CheckResult("gf-derivative", f"{_pair(a, b)} m<=5 order=10", gf_derivative_ok(a, b))
-        )
-    for a, b in GRID:
-        results.append(
-            CheckResult("rodrigues", f"{_pair(a, b)} n<=6", rodrigues_ok(a, b))
-        )
-    for a, b in GRID:
-        results.append(
-            CheckResult("bell-operator", f"{_pair(a, b)} n<=5", bell_operator_ok(a, b))
-        )
-    for source, target in REBASE_PAIRS:
-        results.append(
-            CheckResult(
-                "rebase",
-                f"from=({source[0]},{source[1]}) to=({target[0]},{target[1]}) n<=6",
-                rebase_roundtrip_ok(source, target),
-            )
-        )
-    for a, b in GRID:
-        report = family.lah_rebase_report(family.FamilyParams(a, b), 6)
-        results.append(CheckResult("lah-rebase", f"{_pair(a, b)} n<=6", report.ok))
-    notes.append(
-        "NOTE lah-rebase sign: coefficient k carries (-1)**k (the summation index)"
-    )
-    for a, b, a2, b2 in COMPOSITION_CASES:
-        report = stirling.composition_report(a, b, a2, b2, 6)
-        results.append(
-            CheckResult(
-                "composition",
-                f"{_pair(a, b)} alpha2={a2} beta2={b2} n<=6",
-                report.ok,
-            )
-        )
-    notes.append(
-        "NOTE composition sign: (-1)**j with j the summation index, both identities"
-    )
-    for a, b in GRID:
-        params = family.FamilyParams(a, b)
-        ok = all(family.rising_expansion(params, n).equal for n in range(11))
-        results.append(CheckResult("rising-expansion", f"{_pair(a, b)} n<=10", ok))
-    for a, b in GRID:
-        ok, checked = real_zeros_ok(a, b)
-        if checked:
-            results.append(
-                CheckResult(
-                    "real-zeros",
-                    f"{_pair(a, b)} region={zeros.classify_region(a, b)} degrees={checked}",
-                    ok,
-                )
-            )
-    for a, b in GRID:
-        if a <= 0 and b < 0:
-            results.append(
-                CheckResult("log-concave", f"{_pair(a, b)} n<=12", log_concave_ok(a, b))
-            )
-    results.extend(specializations_ok())
-    return results, notes
+    return _collect((check, check.run(GRID, check.size, "all")) for check in CHECKS)
 
 
-# ---------------------------------------------------------------------------
-# single-identity entry point for the CLI
-
-ALIASES = {
-    "triple": "triple-route",
-    "t2": "gf-derivative",
-    "t4": "rodrigues",
-    "p2": "bell-basis",
-    "p3": "rbell",
-    "p4": "rebase",
-    "p4-lah": "lah-rebase",
-    "p5": "inverse-pair",
-    "c1": "log-concave",
-    "c3": "addition",
-    "c4": "rising-expansion",
-    "lemma1": "recurrence-chain",
-    "t3": "real-zeros",
-    "bell-op": "bell-operator",
-    "families": "specializations",
-}
-
-IDENTITY_NAMES = (
-    "triple-route",
-    "first-values",
-    "recurrence-chain",
-    "inverse-pair",
-    "bell-basis",
-    "rbell",
-    "addition",
-    "gf-derivative",
-    "rodrigues",
-    "bell-operator",
-    "rebase",
-    "lah-rebase",
-    "composition",
-    "rising-expansion",
-    "real-zeros",
-    "log-concave",
-    "specializations",
-)
-
-
-def single_results(
-    identity: str,
-    *,
-    alpha=None,
-    beta=None,
-    alpha2=None,
-    beta2=None,
-    lam=None,
-    r=None,
-    m=None,
-    nmax=None,
-    order=None,
-) -> tuple[list[CheckResult], list[str]]:
+def single_results(identity: str, nmax=None, **options) -> tuple[list[CheckResult], list[str]]:
     """Run one identity, either on explicit parameters or over the grid.
 
-    Giving only --alpha/--beta narrows the run to that pair; leaving both
-    out runs the built-in grid.  Granularity is per n/m/r for a single
-    pair and one aggregated line per pair on the grid.
+    Giving --alpha/--beta narrows the run to that pair; leaving both out
+    runs the built-in grid.  rbell prints one line per r either way.  On
+    one pair, gf-derivative, rodrigues and bell-operator print one line
+    per m, n and lambda; on the grid, one aggregated line per pair.
+    Setting an option the identity does not read is a usage error.
     """
-    name = ALIASES.get(identity, identity)
-    if name not in IDENTITY_NAMES:
+    check = next((c for c in CHECKS if c.name == ALIASES.get(identity, identity)), None)
+    if check is None:
         known = ", ".join(IDENTITY_NAMES)
         raise SuiteUsageError(f"unknown identity {identity!r}; choose from: {known}")
+    options = given_options(f"identity {check.name}", check.flags, options)
+    alpha, beta = options.pop("alpha", None), options.pop("beta", None)
     if (alpha is None) != (beta is None):
         raise SuiteUsageError("provide both --alpha and --beta, or neither")
     if beta is not None and Fraction(beta) == 0:
         raise SuiteUsageError("beta must be nonzero")
-    single = alpha is not None
-    pairs = ((Fraction(alpha), Fraction(beta)),) if single else GRID
     if nmax is not None and nmax < 0:
         raise SuiteUsageError(f"nmax must be >= 0, got {nmax}")
-    if name == "specializations":
-        return specializations_ok(8 if nmax is None else nmax), []
-    nmax = 10 if nmax is None else nmax
-
-    results: list[CheckResult] = []
-    notes: list[str] = []
-
-    if name == "rebase":
-        if single:
-            if alpha2 is None or beta2 is None:
-                raise SuiteUsageError("rebase needs --alpha2 and --beta2 for the target pair")
-            cases = (((Fraction(alpha), Fraction(beta)), (Fraction(alpha2), Fraction(beta2))),)
-        else:
-            if alpha2 is not None or beta2 is not None:
-                raise SuiteUsageError("a rebase target also needs --alpha and --beta")
-            cases = REBASE_PAIRS
-        for source, target in cases:
-            if target[1] == 0 or source[1] == 0:
-                raise SuiteUsageError("beta values must be nonzero")
-            results.append(
-                CheckResult(
-                    "rebase",
-                    f"from=({source[0]},{source[1]}) to=({target[0]},{target[1]}) n<={nmax}",
-                    rebase_roundtrip_ok(source, target, nmax),
-                )
-            )
-        return results, notes
-
-    if name == "composition":
-        if single:
-            if alpha2 is None or beta2 is None:
-                raise SuiteUsageError(
-                    "composition needs --alpha2 and --beta2 for the second pair"
-                )
-            cases = ((Fraction(alpha), Fraction(beta), Fraction(alpha2), Fraction(beta2)),)
-        else:
-            if alpha2 is not None or beta2 is not None:
-                raise SuiteUsageError("a composition target also needs --alpha and --beta")
-            cases = COMPOSITION_CASES
-        for a, b, a2, b2 in cases:
-            if b2 == 0:
-                raise SuiteUsageError("beta2 must be nonzero")
-            report = stirling.composition_report(a, b, a2, b2, nmax)
-            results.append(
-                CheckResult(
-                    "composition",
-                    f"{_pair(a, b)} alpha2={a2} beta2={b2} n<={nmax}",
-                    report.ok,
-                )
-            )
-            notes.append(
-                f"NOTE composition sign for {_pair(a, b)} alpha2={a2} beta2={b2}:"
-                f" confirmed {report.confirmed_sign}"
-            )
-        return results, notes
-
-    for a, b in pairs:
-        if name == "triple-route":
-            results.append(
-                CheckResult(name, f"{_pair(a, b)} n<={nmax}", triple_route_ok(a, b, nmax))
-            )
-        elif name == "first-values":
-            results.append(CheckResult(name, _pair(a, b), first_values_ok(a, b)))
-        elif name == "recurrence-chain":
-            results.append(
-                CheckResult(name, f"{_pair(a, b)} n<={nmax}", recurrence_chain_ok(a, b, nmax))
-            )
-        elif name == "inverse-pair":
-            results.append(
-                CheckResult(name, f"{_pair(a, b)} nmax={nmax}", inverse_pair_ok(a, b, nmax))
-            )
-        elif name == "bell-basis":
-            results.append(
-                CheckResult(name, f"{_pair(a, b)} n<={nmax}", bell_basis_ok(a, b, nmax))
-            )
-        elif name == "rbell":
-            rs = (r,) if r is not None else (0, 1, 2, 3)
-            for rr in rs:
-                if rr < 0:
-                    raise SuiteUsageError(f"r must be >= 0, got {rr}")
-                results.append(
-                    CheckResult(
-                        name,
-                        f"{_pair(a, b)} r={rr} n<={nmax}",
-                        stirling.verify_rbell_connection(a, b, rr, nmax),
-                    )
-                )
-        elif name == "addition":
-            results.append(
-                CheckResult(name, f"{_pair(a, b)} n+m<={nmax}", addition_ok(a, b, nmax))
-            )
-        elif name == "gf-derivative":
-            use_order = order if order is not None else nmax + 2
-            ms = (m,) if m is not None else tuple(range(min(nmax, 5) + 1))
-            if single:
-                for mm in ms:
-                    if not 0 <= mm <= use_order:
-                        raise SuiteUsageError(f"need 0 <= m <= order, got m={mm}")
-                    results.append(
-                        CheckResult(
-                            name,
-                            f"{_pair(a, b)} m={mm} order={use_order}",
-                            series.verify_gf_derivative(a, b, mm, use_order),
-                        )
-                    )
-            else:
-                results.append(
-                    CheckResult(
-                        name,
-                        f"{_pair(a, b)} m<={max(ms)} order={use_order}",
-                        all(series.verify_gf_derivative(a, b, mm, use_order) for mm in ms),
-                    )
-                )
-        elif name == "rodrigues":
-            cap = nmax
-            if single:
-                for n in range(cap + 1):
-                    ok = operators.verify_rodrigues_first(a, b, n) and (
-                        operators.verify_rodrigues_second(a, b, n)
-                    )
-                    results.append(CheckResult(name, f"{_pair(a, b)} n={n}", ok))
-            else:
-                results.append(
-                    CheckResult(name, f"{_pair(a, b)} n<={cap}", rodrigues_ok(a, b, cap))
-                )
-        elif name == "bell-operator":
-            cap = nmax
-            lams = (Fraction(lam),) if lam is not None else (Fraction(0), Fraction(1), a / b)
-            if single:
-                for lv in lams:
-                    ok = all(
-                        operators.verify_bell_operator(a, b, lv, n) for n in range(cap + 1)
-                    )
-                    results.append(
-                        CheckResult(name, f"{_pair(a, b)} lambda={lv} n<={cap}", ok)
-                    )
-            else:
-                results.append(
-                    CheckResult(name, f"{_pair(a, b)} n<={cap}", bell_operator_ok(a, b, cap))
-                )
-        elif name == "lah-rebase":
-            report = family.lah_rebase_report(family.FamilyParams(a, b), nmax)
-            results.append(CheckResult(name, f"{_pair(a, b)} n<={nmax}", report.ok))
-        elif name == "rising-expansion":
-            params = family.FamilyParams(a, b)
-            ok = all(family.rising_expansion(params, n).equal for n in range(nmax + 1))
-            results.append(CheckResult(name, f"{_pair(a, b)} n<={nmax}", ok))
-        elif name == "real-zeros":
-            ok, checked = real_zeros_ok(a, b, nmax_main=max(nmax, 1))
-            region = zeros.classify_region(a, b)
-            results.append(
-                CheckResult(name, f"{_pair(a, b)} region={region} degrees={checked}", ok)
-            )
-        elif name == "log-concave":
-            if a > 0 or b >= 0:
-                if single:
-                    raise SuiteUsageError(
-                        "log-concavity is only claimed for alpha <= 0 and beta < 0"
-                    )
-                continue
-            results.append(
-                CheckResult(name, f"{_pair(a, b)} n<={max(nmax, 2)}", log_concave_ok(a, b, max(nmax, 2)))
-            )
-
-    if name == "lah-rebase":
-        notes.append(
-            "NOTE lah-rebase sign: coefficient k carries (-1)**k (the summation index)"
-        )
-    return results, notes
+    if alpha is None:
+        pairs, mode = GRID, "grid"
+    else:
+        pairs, mode = ((Fraction(alpha), Fraction(beta)),), "pair"
+    nmax = check.default if nmax is None else nmax
+    return _collect([(check, check.run(pairs, nmax, mode, **options))])

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .family import FamilyParams, poly
 from .qpoly import QPolynomial, poly_divexact, poly_gcd
-from .stirling import _triangle
+from .stirling import triangle_rows
 
 REGION_MAIN = "A"
 REGION_SECONDARY = "A-tilde"
@@ -299,7 +299,7 @@ def check_newton_logconcave(params: FamilyParams, n: int) -> bool:
         )
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    row = _triangle(params.alpha, params.beta, n)[n]
+    row = triangle_rows(params.alpha, params.beta, n)[n]
     for k in range(1, n):
         lhs = row[k] ** 2
         rhs = (1 + Fraction(1, k)) * (1 + Fraction(1, n - k)) * row[k + 1] * row[k - 1]

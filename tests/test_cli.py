@@ -220,6 +220,47 @@ def test_verify_rejects_half_specified_pair(capsys):
     assert code == 2
 
 
+def test_verify_all_and_identity_are_exclusive(capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--identity", "nope")
+    assert code == 2 and out == ""
+    assert "--identity" in err and "--all" in err
+
+
+def test_verify_all_rejects_pair_options(capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--alpha", "1")
+    assert code == 2 and out == ""
+    assert "--all does not take --alpha" in err
+
+
+def test_verify_rejects_pair_for_specializations(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "specializations", "--alpha", "1", "--beta", "1"
+    )
+    assert code == 2 and out == ""
+    assert "does not take --alpha" in err
+
+
+def test_verify_rejects_second_pair_outside_rebase_and_composition(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "t4", "--alpha", "1", "--beta", "1",
+        "--alpha2", "0", "--beta2", "-1",
+    )
+    assert code == 2 and out == ""
+    assert "identity rodrigues does not take --alpha2" in err
+    code, _, err = run_cli(capsys, "verify", "--identity", "rbell", "--beta2", "-1")
+    assert code == 2
+    assert "does not take --beta2" in err
+
+
+def test_verify_rejects_options_the_identity_does_not_read(capsys):
+    code, _, err = run_cli(capsys, "verify", "--identity", "rbell", "--lambda", "1")
+    assert code == 2
+    assert "identity rbell does not take --lambda" in err
+    code, _, err = run_cli(capsys, "verify", "--identity", "addition", "--order", "4")
+    assert code == 2
+    assert "does not take --order" in err
+
+
 def test_verify_failure_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(
         suite, "rodrigues_ok", lambda a, b, nmax=6: False

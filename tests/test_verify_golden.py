@@ -2,9 +2,9 @@
 
 Each digest is the sha256 of stdout.  The digests pin the detail strings,
 the per-unit granularity (per n, m, r or lambda on one pair, per pair on
-the grid) and the notes of single-identity runs.  The ``verify --all``
-digest in ``perfbench/expected.json`` (checked by ``test_acceptance``)
-covers only the whole-grid run.
+the grid) and the notes of single-identity runs.  The whole-grid run,
+``verify --all``, is pinned by its digest in ``perfbench/expected.json``,
+which the benchmark checks.
 """
 
 import hashlib
