@@ -1,0 +1,49 @@
+"""Byte-exact stdout of ``zeros`` on a few parameter pairs.
+
+Each digest is the sha256 of stdout.  The runs cover both widths the
+benchmark asks for (1/64 and 2^-20), all three output formats, the main
+and secondary real-rootedness regions, two pairs outside both (one with
+non-real-rooted members, one with a repeated root at 0) and the boundary
+pair (1, -1), whose members have exact rational roots printed as [r, r].
+"""
+
+import hashlib
+
+import pytest
+
+from gstirling import cli
+
+RUNS = (
+    (
+        ("--alpha", "-1", "--beta", "-1", "--nmax", "8", "--max-width", "1/64", "--format", "json"),
+        "c2ef20584c2ac32616c55db75ba472728a36a1b56e4e9b7d87aeefa49aa4cbc9",
+    ),
+    (
+        ("--alpha", "-1/2", "--beta", "-1/2", "--nmax", "7", "--max-width", "1/1048576", "--format", "csv"),
+        "dcbab9921cca187933b870a4e13d416bf04acba3138de72ce66efb107fa11e2d",
+    ),
+    (
+        ("--alpha", "1", "--beta", "-1", "--nmax", "7", "--max-width", "1/1048576", "--format", "pretty"),
+        "452b2b573d14e886a9ae0d8f2c8b6ebf9055e1fb3b43381551bcd9fe8c95abf0",
+    ),
+    (
+        ("--alpha", "0", "--beta", "3", "--nmax", "6", "--max-width", "1/64", "--format", "pretty"),
+        "bac2843601ac3e7b04c97e7cbe6809c8f22217c35f9561e6dae0d3e567b9b78a",
+    ),
+    (
+        ("--alpha", "5/2", "--beta", "1", "--nmax", "6", "--max-width", "1/1048576", "--format", "json"),
+        "d93bc98756f45d0ad46066f060f6b872207edd656d13061805b14f408a23eb9a",
+    ),
+    (
+        ("--alpha", "3/2", "--beta", "-3/4", "--nmax", "7", "--max-width", "1/64", "--format", "csv"),
+        "32541f74b818cf057fa3f7068d14bfb8c227693c02fe2977efc63f0980db4181",
+    ),
+)
+
+
+@pytest.mark.parametrize("argv, digest", RUNS)
+def test_zeros_output(capsys, argv, digest):
+    code = cli.main(["zeros", *argv])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
