@@ -15,7 +15,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 from . import family, suite, zeros
 from .qpoly import QPolynomial
@@ -146,6 +146,8 @@ def run_eval(args) -> int:
         epsilon = float(args.epsilon)
     except ValueError:
         raise UsageError(f"epsilon must be a decimal string, got {args.epsilon!r}")
+    if not isfinite(epsilon):
+        raise UsageError(f"--epsilon must be finite, got {args.epsilon}")
     if epsilon <= 0:
         raise UsageError(f"epsilon must be > 0, got {args.epsilon}")
     params = family.FamilyParams(args.alpha, args.beta)
@@ -315,7 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = _allow_negative_rationals(sub.add_parser("verify", help="check identities, printing PASS/FAIL lines"))
     which = verify.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true", help="run the built-in grid suite")
-    which.add_argument("--identity", default=None)
+    which.add_argument(
+        "--identity",
+        default=None,
+        help="one identity by name or alias; first-values accepts --nmax but"
+        " always checks degrees 0..3",
+    )
     verify.add_argument("--alpha", type=_rational, default=None)
     verify.add_argument("--beta", type=_rational, default=None)
     verify.add_argument("--alpha2", type=_rational, default=None)

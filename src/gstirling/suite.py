@@ -450,6 +450,8 @@ def _rodrigues(pairs, nmax, mode):
 
 
 def _bell_operator(pairs, nmax, mode, lam=None):
+    if lam is not None and mode != "pair":
+        raise SuiteUsageError("bell-operator --lambda needs --alpha and --beta")
     for a, b in pairs:
         if mode != "pair":
             yield f"{_pair(a, b)} n<={nmax}", bell_operator_ok(a, b, nmax)

@@ -2,8 +2,13 @@
 
 Root counts come from sign-variation differences along a signed remainder
 chain; multiplicities are handled by recursive gcd splitting, and root
-isolation bisects on exact counts.  Everything is rational arithmetic:
-an interval either provably contains one root or provably does not.
+isolation bisects on exact counts from the Cauchy bound 1 + max|c_i/c_n|
+outwards-in.  Every sign is exact: the chain keeps each member as primitive
+integer coefficients, and the sign of q(n/d) with d > 0 is the sign of the
+integer sum of c_i * n**i * d**(deg - i), so bisection points are integer
+numerators over one shared denominator and no Fraction is built until an
+interval is reported.  An interval either provably contains one root or
+provably does not.
 """
 
 from __future__ import annotations
@@ -22,10 +27,8 @@ REGION_SECONDARY = "A-tilde"
 REGION_NONE = "neither"
 
 
-def _primitive(p: QPolynomial) -> QPolynomial:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if p.is_zero:
-        return p
+def _primitive(p: QPolynomial) -> tuple[int, ...]:
+    """p scaled by a positive rational to coprime integer coefficients."""
     den = 1
     for c in p.coefficients:
         den = den * c.denominator // math.gcd(den, c.denominator)
@@ -33,27 +36,34 @@ def _primitive(p: QPolynomial) -> QPolynomial:
     g = 0
     for v in ints:
         g = math.gcd(g, v)
-    return QPolynomial(Fraction(v // g) for v in ints)
+    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
 class SturmChain:
     """p, p', then sign-negated remainders (each rescaled by a positive
-    rational) down to a constant for square-free input."""
+    rational) down to a constant for square-free input.
+
+    ``ints[i]`` is ``polys[i]`` scaled by a positive rational to coprime
+    integer coefficients, low degree first; it has the same signs.
+    """
 
     polys: tuple[QPolynomial, ...]
+    ints: tuple[tuple[int, ...], ...]
 
 
 def sturm_chain(p: QPolynomial) -> SturmChain:
     if p.is_zero:
         raise ValueError("no remainder chain for the zero polynomial")
     chain = [p]
+    ints = [_primitive(p)]
     nxt = _primitive(p.derivative())
-    while not nxt.is_zero:
-        chain.append(nxt)
+    while nxt:
+        chain.append(QPolynomial(nxt))
+        ints.append(nxt)
         _, rem = divmod(chain[-2], chain[-1])
         nxt = _primitive(-rem)
-    return SturmChain(tuple(chain))
+    return SturmChain(tuple(chain), tuple(ints))
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -68,30 +78,50 @@ def _variations(signs: Iterable[int]) -> int:
     return count
 
 
-def _sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
+def _signs_at(chain: SturmChain, num: int, den: int) -> list[int]:
+    """Sign of each chain member at num/den, for den > 0.
+
+    Homogenised Horner over the integer chain: q(num/den) * den**deg q is
+    an integer with the sign of q(num/den).
+    """
+    powers = [1]
+    for _ in range(len(chain.ints[0]) - 1):
+        powers.append(powers[-1] * den)
+    signs = []
+    for coeffs in chain.ints:
+        acc = 0
+        for c, scale in zip(reversed(coeffs), powers):
+            acc = acc * num + c * scale
+        signs.append((acc > 0) - (acc < 0))
+    return signs
 
 
 def _variations_at(chain: SturmChain, x: Fraction) -> int:
-    return _variations(_sign(q(x)) for q in chain.polys)
+    return _variations(_signs_at(chain, x.numerator, x.denominator))
 
 
 def _variations_at_infinity(chain: SturmChain, positive: bool) -> int:
     signs = []
     for q in chain.polys:
-        s = _sign(q.lead)
+        s = 1 if q.lead > 0 else -1
         if not positive and q.degree % 2 == 1:
             s = -s
         signs.append(s)
     return _variations(signs)
 
 
+def _split_repeated(p: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
+    """(g, q) with g = gcd(p, p') and q = p / g, which has p's distinct
+    roots, all simple."""
+    g = poly_gcd(p, p.derivative())
+    return g, (p if g.degree <= 0 else poly_divexact(p, g))
+
+
 def square_free_part(p: QPolynomial) -> QPolynomial:
     """p divided by gcd(p, p'): same distinct roots, all simple."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no square-free part")
-    g = poly_gcd(p, p.derivative())
-    return p if g.degree <= 0 else poly_divexact(p, g)
+    return _split_repeated(p)[1]
 
 
 def _count_distinct(chain: SturmChain) -> int:
@@ -110,6 +140,11 @@ def count_real_roots(p: QPolynomial) -> int:
     return _count_distinct(sturm_chain(square_free_part(p)))
 
 
+def _real_rooted(q: QPolynomial, distinct: int, g: QPolynomial) -> bool:
+    """All roots real, given p's split (g, q) and q's distinct real roots."""
+    return distinct == q.degree and (g.degree < 1 or all_roots_real(g))
+
+
 def all_roots_real(p: QPolynomial) -> bool:
     """True iff the total multiplicity of real roots equals the degree.
 
@@ -119,11 +154,8 @@ def all_roots_real(p: QPolynomial) -> bool:
     """
     if p.degree < 1:
         raise ValueError("real-rootedness is only defined for degree >= 1")
-    g = poly_gcd(p, p.derivative())
-    q = poly_divexact(p, g) if g.degree > 0 else p
-    if _count_distinct(sturm_chain(q)) != q.degree:
-        return False
-    return g.degree < 1 or all_roots_real(g)
+    g, q = _split_repeated(p)
+    return _real_rooted(q, _count_distinct(sturm_chain(q)), g)
 
 
 def _cauchy_bound(p: QPolynomial) -> Fraction:
@@ -143,7 +175,9 @@ def isolate_roots(
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if poly_gcd(p, p.derivative()).degree > 0:
+    # the chain ends in gcd(p, p') up to a constant factor
+    chain = sturm_chain(p)
+    if chain.polys[-1].degree > 0:
         raise ValueError("root isolation requires square-free input")
     max_width = Fraction(max_width)
     if max_width <= 0:
@@ -151,45 +185,57 @@ def isolate_roots(
     if p.degree < 1:
         return []
 
-    chain = sturm_chain(p)
-    bound = _cauchy_bound(p)
+    # Points are lo/den, hi/den and mid/den with one shared den > 0; halving
+    # doubles all three, so every point stays an exact integer ratio.
+    # v_lo is the chain's variation count at lo, s_hi the sign of p at hi.
+    width_num, width_den = max_width.numerator, max_width.denominator
     found: list[tuple[Fraction, Fraction]] = []
 
-    def refine(a: Fraction, b: Fraction) -> None:
-        # exactly one root in (a, b]; shrink until the closed interval
-        # [a, b] is narrow, starts strictly after the original left
-        # endpoint, and has no root at either endpoint
-        a_orig = a
-        while True:
-            if p(b) == 0:
-                found.append((b, b))
-                return
-            if b - a <= max_width and a != a_orig and p(a) != 0:
-                found.append((a, b))
-                return
-            mid = (a + b) / 2
-            if p(mid) == 0:
-                found.append((mid, mid))
-                return
-            if _count_halfopen(chain, a, mid) == 1:
-                b = mid
-            else:
-                a = mid
+    def probe(num: int, den: int) -> tuple[int, int]:
+        signs = _signs_at(chain, num, den)
+        return _variations(signs), signs[0]
 
-    def split(a: Fraction, b: Fraction, count: int) -> None:
+    def refine(lo: int, hi: int, den: int, v_lo: int, s_hi: int) -> None:
+        # exactly one root in (lo, hi]; shrink until the closed interval
+        # is narrow, starts strictly after the original left endpoint, and
+        # has no root at either endpoint.  Every point moved to is a mid
+        # with p(mid) != 0, so only the original hi needs a zero test.
+        if s_hi == 0:
+            found.append((Fraction(hi, den), Fraction(hi, den)))
+            return
+        moved = False
+        while not (moved and (hi - lo) * width_den <= width_num * den):
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            mid = (lo + hi) // 2
+            v_mid, s_mid = probe(mid, den)
+            if s_mid == 0:
+                found.append((Fraction(mid, den), Fraction(mid, den)))
+                return
+            if v_lo - v_mid == 1:
+                hi = mid
+            else:
+                lo, v_lo, moved = mid, v_mid, True
+        found.append((Fraction(lo, den), Fraction(hi, den)))
+
+    def split(lo: int, hi: int, den: int, v_lo: int, s_hi: int, count: int) -> None:
         if count == 0:
             return
         if count == 1:
-            refine(a, b)
+            refine(lo, hi, den, v_lo, s_hi)
             return
-        mid = (a + b) / 2
-        left = _count_halfopen(chain, a, mid)
-        split(a, mid, left)
-        split(mid, b, count - left)
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        v_mid, s_mid = probe(mid, den)
+        left = v_lo - v_mid
+        split(lo, mid, den, v_lo, s_mid, left)
+        split(mid, hi, den, v_mid, s_hi, count - left)
 
-    total = _count_halfopen(chain, -bound, bound)
-    split(-bound, bound, total)
-    return sorted(found)
+    bound = _cauchy_bound(p)
+    num, den = bound.numerator, bound.denominator
+    v_lo, _ = probe(-num, den)
+    v_hi, s_hi = probe(num, den)
+    split(-num, num, den, v_lo, s_hi, v_lo - v_hi)
+    return found
 
 
 def count_roots_between(p: QPolynomial, a: Fraction, b: Fraction) -> int:
@@ -272,13 +318,16 @@ def region_report(
         covered_up_to = min(nmax, math.ceil(params.alpha))
     rows = []
     for n in range(1, nmax + 1):
-        p = poly(params, n)
+        g, q = _split_repeated(poly(params, n))
+        # one interval per distinct real root of q: the isolation's count
+        # is the chain's count at -/+ infinity, so q's chain is built once
+        roots = tuple(isolate_roots(q, max_width))
         rows.append(
             RegionRow(
                 n=n,
-                all_real=all_roots_real(p),
+                all_real=_real_rooted(q, len(roots), g),
                 asserted=n <= covered_up_to,
-                roots=tuple(isolate_roots(square_free_part(p), max_width)),
+                roots=roots,
             )
         )
     return RegionReport(params=params, n_checked=nmax, region=region, results=tuple(rows))

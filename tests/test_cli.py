@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from gstirling import cli, suite
 from gstirling.rationals import parse_rational
 
@@ -114,6 +116,17 @@ def test_eval_rejects_bad_epsilon(capsys):
         "--epsilon", "abc",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_eval_rejects_non_finite_epsilon(capsys, epsilon):
+    code, out, err = run_cli(
+        capsys, "eval", "--alpha", "0", "--beta", "-1", "--n", "2", "--x", "2",
+        "--epsilon", epsilon,
+    )
+    assert code == 2 and out == ""
+    assert "--epsilon must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_zeros_json_report(capsys):
@@ -259,6 +272,12 @@ def test_verify_rejects_options_the_identity_does_not_read(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "addition", "--order", "4")
     assert code == 2
     assert "does not take --order" in err
+
+
+def test_verify_bell_operator_lambda_needs_a_pair(capsys):
+    code, out, err = run_cli(capsys, "verify", "--identity", "bell-operator", "--lambda", "7")
+    assert code == 2 and out == ""
+    assert "--lambda needs --alpha and --beta" in err
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):
