@@ -2,13 +2,14 @@
 
 Root counts come from sign-variation differences along a signed remainder
 chain; multiplicities are handled by recursive gcd splitting, and root
-isolation bisects on exact counts from the Cauchy bound 1 + max|c_i/c_n|
-outwards-in.  Every sign is exact: the chain keeps each member as primitive
-integer coefficients, and the sign of q(n/d) with d > 0 is the sign of the
-integer sum of c_i * n**i * d**(deg - i), so bisection points are integer
-numerators over one shared denominator and no Fraction is built until an
-interval is reported.  An interval either provably contains one root or
-provably does not.
+isolation bisects [-B, B], B = 1 + max|c_i/c_n| the Cauchy bound, on exact
+counts.  Every sign is read from integer arithmetic: the chain keeps each
+member as primitive integer coefficients, and the sign of q(n/d) with d > 0
+is the sign of the integer sum of c_i * n**i * d**(deg - i).  Bisection
+points are integer numerators over one shared denominator, so no Fraction
+is built until an interval is reported, and the intervals are exactly
+those of a bisection on rational values.  An interval either provably
+contains one root or provably does not.
 """
 
 from __future__ import annotations
