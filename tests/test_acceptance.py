@@ -5,15 +5,19 @@ inline; they also appear in captured output on failure).  Comparisons are
 exact rational equality unless a tolerance is stated in the test.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from gstirling import family, stirling, suite, zeros
 
 F = Fraction
 GRID = suite.GRID
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def _report(num: int, name: str, ok: bool, extra: str = "") -> None:
@@ -142,4 +146,6 @@ def test_14_cli_byte_stability():
     ok = all(r.returncode == 0 for r in runs)
     ok = ok and runs[0].stdout == runs[1].stdout
     ok = ok and len(runs[0].stdout) > 0
-    _report(14, "verify --all exits 0 with byte-stable output", ok)
+    pinned = json.loads(EXPECTED.read_text())["grid_stdout_sha256"]
+    ok = ok and hashlib.sha256(runs[0].stdout).hexdigest() == pinned
+    _report(14, "verify --all exits 0 with byte-stable, pinned output", ok)
