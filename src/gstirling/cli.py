@@ -4,8 +4,9 @@ Subcommands: ``table`` (coefficient triangle), ``poly`` (one family
 member), ``eval`` (summed-series evaluation), ``zeros`` (real-root
 report), ``family`` (named specializations), ``verify`` (identity
 checks).  Exit codes are fixed for scripting: 0 success, 1 I/O error,
-2 usage error, 3 verification failure.  Rationals on the command line
-use the same exact "p/q" syntax as every emitter; decimals are rejected.
+2 usage error or arithmetic overflow, 3 verification failure.  Rationals
+on the command line use the same exact "p/q" syntax as every emitter;
+decimals are rejected.
 """
 
 from __future__ import annotations
@@ -346,11 +347,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, suite.SuiteUsageError, WireFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,26 +28,40 @@ def _check_indices(n: int, k: int) -> None:
         raise ValueError(f"triangle index k={k} exceeds n={n}")
 
 
-@lru_cache(maxsize=None)
+_TRIANGLES: dict = {}
+
+
+def _grown_rows(key, nmax: int, seed: tuple, step) -> tuple[tuple, ...]:
+    """Rows 0..nmax of the triangle stored under ``key``.
+
+    The triangle starts at ``seed`` and row m+1 is ``step(m, row_m)``.  Each
+    key keeps one triangle; a larger ``nmax`` extends it and stores the
+    longer tuple in its place, so rows already handed out never change.
+    """
+    rows = _TRIANGLES.setdefault(key, (seed,))
+    if len(rows) <= nmax:
+        grown = list(rows)
+        for m in range(len(rows) - 1, nmax):
+            grown.append(step(m, grown[m]))
+        rows = _TRIANGLES[key] = tuple(grown)
+    return rows[: nmax + 1]
+
+
 def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows 0..nmax of S(n, k) built by the triangular recurrence.
 
     S(m+1, j) = (m - alpha - beta*j) * S(m, j) - beta * S(m, j-1),
-    seeded with S(0, 0) = 1 and zero outside 0 <= j <= m.
+    seeded with S(0, 0) = 1 and zero outside 0 <= j <= m.  One triangle is
+    kept per (alpha, beta) and grown when a larger nmax is asked for.
     """
-    rows = [(Fraction(1),)]
-    for m in range(nmax):
-        prev = rows[m]
-        row = []
-        for j in range(m + 2):
-            v = Fraction(0)
-            if j <= m:
-                v += (m - alpha - beta * j) * prev[j]
-            if j >= 1:
-                v -= beta * prev[j - 1]
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
+
+    def step(m, row):
+        padded = (0,) + row + (0,)
+        return tuple(
+            (m - alpha - beta * j) * padded[j + 1] - beta * padded[j] for j in range(m + 2)
+        )
+
+    return _grown_rows((alpha, beta), nmax, (Fraction(1),), step)
 
 
 @dataclass(frozen=True)
@@ -127,46 +141,29 @@ def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
     return value if (n - k) % 2 == 0 else -value
 
 
-@lru_cache(maxsize=None)
-def _stirling2_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1,)]
-    for n in range(nmax):
-        prev = rows[n]
-        row = [0] * (n + 2)
-        for k in range(n + 2):
-            if k >= 1:
-                row[k] += prev[k - 1] if k - 1 <= n else 0
-            if k <= n:
-                row[k] += k * prev[k]
-        rows.append(tuple(row))
-    return tuple(rows)
+def _stirling_rows(kind: int, nmax: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..nmax of the signed Stirling triangle of the first or second
+    kind: c(n+1, k) = c(n, k-1) + w * c(n, k), with w = -n or w = k."""
 
+    def step(n, row):
+        padded = (0,) + row + (0,)
+        return tuple(
+            padded[k] + (-n if kind == 1 else k) * padded[k + 1] for k in range(n + 2)
+        )
 
-@lru_cache(maxsize=None)
-def _stirling1_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1,)]
-    for n in range(nmax):
-        prev = rows[n]
-        row = [0] * (n + 2)
-        for k in range(n + 2):
-            if k >= 1:
-                row[k] += prev[k - 1] if k - 1 <= n else 0
-            if k <= n:
-                row[k] -= n * prev[k]
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _grown_rows(("stirling", kind), nmax, (1,), step)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind (set-partition counts)."""
     _check_indices(n, k)
-    return _stirling2_rows(n)[n][k]
+    return _stirling_rows(2, n)[n][k]
 
 
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind."""
     _check_indices(n, k)
-    return _stirling1_rows(n)[n][k]
+    return _stirling_rows(1, n)[n][k]
 
 
 @lru_cache(maxsize=512)
@@ -188,20 +185,18 @@ def _egf_values(seq: Sequence, length: int, shift: int) -> tuple[Fraction, ...]:
 def rlah(r: int, n: int, k: int) -> Fraction:
     """r-Lah number with full indices (both arguments already include r).
 
-    Defined by extraction from (1/(k-r)!) * (t/(1-t))**(k-r) * (1-t)**(-2r);
-    the plain Lah numbers are the r = 0 column of this family.
+    The partial r-Bell value at a_j = j! and b_{j+1} = (j+1)!, whose series
+    are t/(1-t) and (1-t)**(-2): extraction from
+    (1/(k-r)!) * (t/(1-t))**(k-r) * (1-t)**(-2r).  The plain Lah numbers are
+    the r = 0 column of this family.
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     _check_indices(n, k)
     if k < r:
         raise ValueError(f"need k >= r, got k={k}, r={r}")
-    nn, kk = n - r, k - r
-    t_over = QXSeries(nn, (Fraction(0),) + (Fraction(1),) * nn)
-    series = _pow_series(t_over.coefficients, kk, nn) * binomial_series(
-        Fraction(-2 * r), nn
-    )
-    return factorial(nn) * series.coeff(nn).coeff(0) / factorial(kk)
+    factorials = [factorial(j) for j in range(1, n - r + 2)]
+    return partial_r_bell(r, n - r, k - r, factorials, factorials)
 
 
 def lah(n: int, k: int) -> Fraction:

@@ -129,6 +129,15 @@ def test_eval_rejects_non_finite_epsilon(capsys, epsilon):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n,x", [("180", "3"), ("1", "-710")])
+def test_eval_overflow_is_a_usage_error(capsys, n, x):
+    code, out, err = run_cli(
+        capsys, "eval", "--alpha", "1/2", "--beta", "-1", "--n", n, "--x", x
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: OverflowError")
+
+
 def test_zeros_json_report(capsys):
     code, out, _ = run_cli(
         capsys, "zeros", "--alpha", "-1", "--beta", "-1", "--nmax", "6", "--format", "json"

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from gstirling import stirling
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
 from gstirling.stirling import (
@@ -18,9 +19,11 @@ from gstirling.stirling import (
     rlah,
     stirling1,
     stirling2,
+    triangle_rows,
     verify_composition,
     verify_rbell_connection,
 )
+from gstirling.suite import GRID
 
 F = Fraction
 PAIRS = [
@@ -69,14 +72,32 @@ def test_stirling2_known_value():
     assert stirling2(4, 2) == 7
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_stirling1_matches_falling_factorial_expansion(n):
+def _falling_factorial(n):
     # falling(x, n) = sum_k s(n, k) x^k, an oracle independent of the recurrence
     p = QPolynomial.one()
     for i in range(n):
         p = p * QPolynomial((-i, 1))
+    return p
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_stirling1_matches_falling_factorial_expansion(n):
+    p = _falling_factorial(n)
     for k in range(n + 1):
         assert stirling1(n, k) == p.coeff(k)
+
+
+def test_stirling_rows_grow_in_any_request_order(monkeypatch):
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    for n in (10, 3, 7, 0):
+        p = _falling_factorial(n)
+        for k in range(n + 1):
+            assert stirling1(n, k) == p.coeff(k)
+            # inclusion-exclusion count of surjections onto k blocks
+            surjections = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
+            assert stirling2(n, k) == surjections // factorial(k)
+    assert stirling2(10, 3) == 9330 and stirling1(10, 3) == -1172700
+    assert sorted(stirling._TRIANGLES) == [("stirling", 1), ("stirling", 2)]
 
 
 def test_stirling_known_values_and_validation():
@@ -122,6 +143,28 @@ def test_three_route_agreement(alpha, beta):
         for k in range(n + 1):
             assert table.value(n, k) == egf[n][k]
             assert table.value(n, k) == gstirling_explicit(alpha, beta, n, k)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(F(2, 7), F(-5, 3)), (F(-9, 4), F(3, 5)), (F(5), F(1, 6))]
+)
+def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
+    assert (alpha, beta) not in GRID
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    seen = []
+    for nmax in (9, 3, 12, 0):
+        rows = triangle_rows(alpha, beta, nmax)
+        assert len(rows) == nmax + 1
+        for n, row in enumerate(rows):
+            assert all(type(v) is Fraction for v in row)
+            assert row == tuple(gstirling_explicit(alpha, beta, n, k) for k in range(n + 1))
+        for earlier in seen:
+            common = min(len(earlier), len(rows))
+            assert rows[:common] == earlier[:common]
+        seen.append(rows)
+    # one triangle for the pair, grown to the largest nmax asked for
+    assert list(stirling._TRIANGLES) == [(alpha, beta)]
+    assert len(stirling._TRIANGLES[(alpha, beta)]) == 13
 
 
 def test_table_bounds_checked():
