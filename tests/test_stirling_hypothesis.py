@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from gstirling import suite
-from gstirling.stirling import triangle_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -28,10 +27,3 @@ def test_inverse_pair_off_the_grid(alpha, beta, nmax):
     hypothesis.assume((alpha, beta) not in suite.GRID)
     assert suite.inverse_pair_ok(alpha, beta, nmax)
 
-
-@hypothesis.settings(max_examples=100, deadline=None)
-@hypothesis.given(RATIONALS, RATIONALS, st.lists(SIZES, min_size=2, max_size=5))
-def test_triangle_requests_are_prefixes_of_one_triangle(alpha, beta, sizes):
-    largest = triangle_rows(alpha, beta, max(sizes))
-    for nmax in sizes:
-        assert triangle_rows(alpha, beta, nmax) == largest[: nmax + 1]
