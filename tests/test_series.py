@@ -3,6 +3,8 @@ from math import factorial
 
 import pytest
 
+from gstirling import stirling
+
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
 from gstirling.series import (
@@ -121,6 +123,17 @@ def test_gf_derivative_identity_m0():
 def test_gf_derivative_identity_examples():
     assert verify_gf_derivative(F("-1/2"), F("-1/2"), 3, 8)
     assert verify_gf_derivative(F(2), F(3), 2, 6)
+
+
+def test_gf_derivative_detects_a_wrong_triangle_entry(monkeypatch):
+    right = stirling.gstirling_explicit
+
+    def wrong(alpha, beta, n, k):
+        value = right(alpha, beta, n, k)
+        return value + 1 if (n, k) == (3, 2) else value
+
+    monkeypatch.setattr(stirling, "gstirling_explicit", wrong)
+    assert not verify_gf_derivative(F("-1/2"), F("-1/2"), 3, 10)
 
 
 def test_gf_derivative_rejects_bad_arguments():

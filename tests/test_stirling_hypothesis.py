@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling import suite
+from gstirling import series, stirling, suite
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -27,3 +27,19 @@ def test_inverse_pair_off_the_grid(alpha, beta, nmax):
     hypothesis.assume((alpha, beta) not in suite.GRID)
     assert suite.inverse_pair_ok(alpha, beta, nmax)
 
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(RATIONALS, NONZERO, st.integers(0, 3), SIZES)
+def test_rbell_connection_off_the_grid(alpha, beta, r, nmax):
+    hypothesis.assume((alpha, beta) not in suite.GRID)
+    assert stirling.verify_rbell_connection(alpha, beta, r, nmax)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(RATIONALS, NONZERO, st.data())
+def test_gf_derivative_off_the_grid(alpha, beta, data):
+    hypothesis.assume((alpha, beta) not in suite.GRID)
+    order = data.draw(SIZES)
+    m = data.draw(st.integers(0, order))
+    assert series.verify_gf_derivative(alpha, beta, m, order)
