@@ -44,14 +44,7 @@ from .rationals import (
     parse_rational,
     rising,
 )
-from .series import (
-    QXSeries,
-    binomial_series,
-    gf_polynomials,
-    series_exp,
-    series_mul,
-    verify_gf_derivative,
-)
+from .series import binomial_series, gf_polynomials, series_mul, verify_gf_derivative
 from .stirling import (
     CompositionReport,
     GStirlingTable,

@@ -192,16 +192,17 @@ def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
     if n < 0 or m < 0:
         raise ValueError(f"n and m must be >= 0, got (n={n}, m={m})")
     a, b = params.alpha, params.beta
-    row_m = triangle_rows(a, b, m)[m]
-    out = QPolynomial.zero()
+    rows = triangle_rows(a, b, max(n, m))
+    out = [Fraction(0)] * (n + m + 1)
     for j in range(n + 1):
-        pj = poly(params, j)
         cnj = comb(n, j)
         for k in range(m + 1):
-            scalar = cnj * rising(m - b * k, n - j) * row_m[k]
+            scalar = cnj * rising(m - b * k, n - j) * rows[m][k]
             if scalar:
-                out = out + QPolynomial.monomial(k, scalar) * pj
-    return out
+                # scalar * x**k * family_j(x), family_j having row j as coefficients
+                for i, c in enumerate(rows[j]):
+                    out[i + k] += scalar * c
+    return QPolynomial(out)
 
 
 U_PARAMS = FamilyParams(Fraction(-1, 2), Fraction(-1, 2))

@@ -116,14 +116,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QPolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        out = QPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def derivative(self) -> "QPolynomial":
         return QPolynomial(i * c for i, c in enumerate(self._coeffs) if i > 0)
 

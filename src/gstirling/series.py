@@ -1,189 +1,78 @@
-"""Truncated power series in t over polynomials in x, all exact.
+"""Truncated power series in t over the rationals, all exact.
 
-This is the package's ground-truth engine: any generating-function
-statement can be re-derived here by expanding both sides to a fixed
-truncation order and comparing coefficients, with no rounding anywhere.
+A series is a tuple of ``Fraction``s whose entry i multiplies t**i; its
+truncation order is its length minus one.  The family's generating
+function (1-t)**alpha * exp(x*((1-t)**beta - 1)) is handled as the sum
+of x**k * C_k(t) over k, with the scalar column series
+
+    C_k = (1-t)**alpha * ((1-t)**beta - 1)**k / k!.
+
+C_k has no t-power below k, so the columns k <= order give the whole
+truncated function.  Generating-function statements are re-derived here
+by expanding both sides to a fixed order and comparing coefficients, with
+no rounding anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable
+from math import factorial, perm
 
 from .qpoly import QPolynomial
 
 
-def _as_poly(value) -> QPolynomial:
-    if isinstance(value, QPolynomial):
-        return value
-    return QPolynomial.constant(value)
-
-
-class QXSeries:
-    """Series sum of c_i(x) * t**i for i <= order; ring ops truncate at order."""
-
-    __slots__ = ("_order", "_coeffs")
-
-    def __init__(self, order: int, coefficients: Iterable = ()):
-        if order < 0:
-            raise ValueError(f"series order must be >= 0, got {order}")
-        coeffs = [_as_poly(c) for c in coefficients]
-        if len(coeffs) > order + 1:
-            raise ValueError(
-                f"{len(coeffs)} coefficients exceed order {order} truncation"
-            )
-        coeffs.extend(QPolynomial.zero() for _ in range(order + 1 - len(coeffs)))
-        self._order = order
-        self._coeffs: tuple[QPolynomial, ...] = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "QXSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "QXSeries":
-        return cls(order, (QPolynomial.one(),))
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coefficients(self) -> tuple[QPolynomial, ...]:
-        return self._coeffs
-
-    def coeff(self, i: int) -> QPolynomial:
-        return self._coeffs[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QXSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return f"QXSeries(order={self._order}, coefficients={list(self._coeffs)!r})"
-
-    def _check_order(self, other: "QXSeries") -> None:
-        if self._order != other._order:
-            raise ValueError(
-                f"mismatched series orders: {self._order} vs {other._order}"
-            )
-
-    def __add__(self, other: "QXSeries") -> "QXSeries":
-        if not isinstance(other, QXSeries):
-            return NotImplemented
-        self._check_order(other)
-        return QXSeries(
-            self._order, (a + b for a, b in zip(self._coeffs, other._coeffs))
-        )
-
-    def __sub__(self, other: "QXSeries") -> "QXSeries":
-        if not isinstance(other, QXSeries):
-            return NotImplemented
-        self._check_order(other)
-        return QXSeries(
-            self._order, (a - b for a, b in zip(self._coeffs, other._coeffs))
-        )
-
-    def __mul__(self, other: "QXSeries") -> "QXSeries":
-        if not isinstance(other, QXSeries):
-            return NotImplemented
-        self._check_order(other)
-        out = [QPolynomial.zero() for _ in range(self._order + 1)]
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self._order + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return QXSeries(self._order, out)
-
-    def __pow__(self, n: int) -> "QXSeries":
-        if n < 0:
-            raise ValueError("negative series powers are not defined")
-        out = QXSeries.one(self._order)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def scale(self, factor) -> "QXSeries":
-        """Multiply every coefficient by a rational or a polynomial in x."""
-        f = _as_poly(factor)
-        return QXSeries(self._order, (c * f for c in self._coeffs))
-
-    def t_derivative(self) -> "QXSeries":
-        """Formal d/dt; the truncation order drops by one."""
-        if self._order == 0:
-            raise ValueError("cannot differentiate an order-0 truncation")
-        return QXSeries(
-            self._order - 1,
-            ((i + 1) * self._coeffs[i + 1] for i in range(self._order)),
-        )
-
-    def truncated(self, order: int) -> "QXSeries":
-        if order > self._order:
-            raise ValueError(f"cannot extend truncation {self._order} to {order}")
-        return QXSeries(order, self._coeffs[: order + 1])
-
-
-def binomial_series(a: Fraction | int, order: int) -> QXSeries:
+def binomial_series(a: Fraction | int, order: int) -> tuple[Fraction, ...]:
     """(1 - t)**a truncated; the t**n coefficient is rising(-a, n)/n!."""
     a = Fraction(a)
     coeffs = []
     c = Fraction(1)
     for n in range(order + 1):
         coeffs.append(c)
-        c = c * (-a + n) / (n + 1)
-    return QXSeries(order, coeffs)
+        c = c * (n - a) / (n + 1)
+    return tuple(coeffs)
 
 
-def series_mul(s1: QXSeries, s2: QXSeries) -> QXSeries:
+def series_mul(s1: tuple, s2: tuple) -> tuple[Fraction, ...]:
     """Truncated Cauchy product; the operands must share one order."""
-    if s1.order != s2.order:
-        raise ValueError(f"mismatched series orders: {s1.order} vs {s2.order}")
-    return s1 * s2
+    if len(s1) != len(s2):
+        raise ValueError(f"mismatched series orders: {len(s1) - 1} vs {len(s2) - 1}")
+    out = [Fraction(0)] * len(s1)
+    for i, a in enumerate(s1):
+        if a:
+            for j, b in enumerate(s2[: len(s1) - i]):
+                if b:
+                    out[i + j] += a * b
+    return tuple(out)
 
 
-def series_exp(s: QXSeries) -> QXSeries:
-    """exp of a series whose constant term is zero.
-
-    With no constant term, s**k has no t-power below k, so the truncated
-    exponential is the finite sum of s**k / k! for k <= order.
-    """
-    if not s.coeff(0).is_zero:
-        raise ValueError("series_exp requires a zero constant term")
-    acc = QXSeries.one(s.order)
-    term = acc
-    for k in range(1, s.order + 1):
-        term = (term * s).scale(Fraction(1, k))
-        acc = acc + term
-    return acc
-
-
-def _family_gf(alpha: Fraction, beta: Fraction, order: int) -> QXSeries:
-    """(1-t)**alpha * exp(x*((1-t)**beta - 1)) truncated at the given order."""
-    inner = (binomial_series(beta, order) - QXSeries.one(order)).scale(
-        QPolynomial.x()
-    )
-    return binomial_series(alpha, order) * series_exp(inner)
+def _gf_columns(alpha: Fraction, beta: Fraction, order: int) -> list[tuple[Fraction, ...]]:
+    """The column series C_0..C_order of the module docstring, at one order."""
+    shifted = binomial_series(beta, order)
+    shifted = (shifted[0] - 1,) + shifted[1:]  # (1-t)**beta - 1
+    columns = [binomial_series(alpha, order)]
+    for k in range(1, order + 1):
+        columns.append(tuple(c / k for c in series_mul(columns[-1], shifted)))
+    return columns
 
 
 def gf_polynomials(alpha, beta, nmax: int) -> list[QPolynomial]:
     """Polynomials read off the family's generating function.
 
     Entry n is n! times the t**n coefficient of the expanded generating
-    function, so this is the series-side route to the family and the
-    oracle the recurrence construction is checked against.
+    function; its x**k coefficient is n! * C_k[n].  This is the
+    series-side route to the family and the oracle the recurrence
+    construction is checked against.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    gf = _family_gf(alpha, beta, nmax)
-    return [factorial(n) * gf.coeff(n) for n in range(nmax + 1)]
+    columns = _gf_columns(alpha, beta, nmax)
+    return [
+        QPolynomial(factorial(n) * column[n] for column in columns[: n + 1])
+        for n in range(nmax + 1)
+    ]
 
 
 def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
@@ -191,9 +80,16 @@ def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
 
     The m-th derivative of F(t, x) equals
     F(t, x) * (1-t)**(-m) * sum_k S(m, k) * x**k * (1-t)**(beta*k),
-    where S is the family's coefficient triangle.  Both sides are built
-    as truncated series (the left by m formal differentiations, which
-    lower the order by m) and compared coefficient-by-coefficient.
+    where S is the family's coefficient triangle.  Both sides are
+    compared one power of x at a time: for each j <= order, the x**j
+    coefficient of the left side is C_j differentiated m times, and that
+    of the right side is (1-t)**(-m) * sum_{k <= min(m, j)} S(m, k) *
+    (1-t)**(beta*k) * C_{j-k}.  Both are scalar series compared through
+    t**(order - m), the terms the order-`order` columns fix exactly.  Two
+    polynomials in x are equal exactly when each coefficient is, and no
+    x**j with j > order reaches t**(order - m), so the check is exact.
+    The two binomial factors stay separate series, so the check does not
+    assume the exponent law (1-t)**a * (1-t)**b = (1-t)**(a+b).
     """
     from .stirling import gstirling_explicit  # deferred: stirling uses this module
 
@@ -203,16 +99,21 @@ def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
     if not 0 <= m <= order:
         raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
 
-    gf = _family_gf(alpha, beta, order)
-    lhs = gf
-    for _ in range(m):
-        lhs = lhs.t_derivative()
-
-    row = QXSeries.zero(order)
+    length = order - m + 1
+    columns = _gf_columns(alpha, beta, order)
+    lower = binomial_series(-m, order - m)
+    weights = []
     for k in range(m + 1):
-        term = binomial_series(beta * k, order).scale(
-            QPolynomial.monomial(k, gstirling_explicit(alpha, beta, m, k))
+        s = gstirling_explicit(alpha, beta, m, k)
+        weights.append(
+            tuple(s * c for c in series_mul(lower, binomial_series(beta * k, order - m)))
         )
-        row = row + term
-    rhs = (gf * binomial_series(Fraction(-m), order) * row).truncated(order - m)
-    return lhs == rhs
+    for j, column in enumerate(columns):
+        lhs = [perm(i + m, m) * column[i + m] for i in range(length)]
+        rhs = [Fraction(0)] * length
+        for k in range(min(m, j) + 1):
+            for i, c in enumerate(series_mul(weights[k], columns[j - k][:length])):
+                rhs[i] += c
+        if lhs != rhs:
+            return False
+    return True

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .qpoly import QPolynomial
 from .rationals import rising
-from .series import QXSeries, binomial_series
+from .series import _gf_columns, series_mul
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -111,23 +111,16 @@ def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     """Triangle extracted from column generating functions, a third route.
 
     Column k of the triangle has exponential generating function
-    (1/k!) * ((1-t)**beta - 1)**k * (1-t)**alpha.
+    C_k = (1/k!) * ((1-t)**beta - 1)**k * (1-t)**alpha, so S(n, k) = n! * C_k[n].
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    base = binomial_series(beta, nmax) - QXSeries.one(nmax)
-    alpha_part = binomial_series(alpha, nmax)
-    rows = [[Fraction(0)] * (n + 1) for n in range(nmax + 1)]
-    power = QXSeries.one(nmax)
-    for k in range(nmax + 1):
-        column = power * alpha_part
-        kfact = factorial(k)
-        for n in range(k, nmax + 1):
-            rows[n][k] = factorial(n) * column.coeff(n).coeff(0) / kfact
-        if k < nmax:
-            power = power * base
-    return tuple(tuple(row) for row in rows)
+    columns = _gf_columns(alpha, beta, nmax)
+    return tuple(
+        tuple(factorial(n) * column[n] for column in columns[: n + 1])
+        for n in range(nmax + 1)
+    )
 
 
 def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
@@ -167,12 +160,12 @@ def stirling1(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _pow_series(values: tuple[Fraction, ...], power: int, order: int) -> QXSeries:
-    """(sum values[i] * t**i) ** power, truncated; cached so that triangle
-    sweeps reuse each incremental power."""
+def _pow_series(values: tuple[Fraction, ...], power: int) -> tuple[Fraction, ...]:
+    """(sum values[i] * t**i) ** power, truncated at len(values) - 1; cached
+    so that triangle sweeps reuse each incremental power."""
     if power == 0:
-        return QXSeries.one(order)
-    return _pow_series(values, power - 1, order) * QXSeries(order, values)
+        return (Fraction(1),) + (Fraction(0),) * (len(values) - 1)
+    return series_mul(_pow_series(values, power - 1), values)
 
 
 def _egf_values(seq: Sequence, length: int, shift: int) -> tuple[Fraction, ...]:
@@ -219,12 +212,12 @@ def partial_r_bell(r: int, n: int, k: int, a: Sequence, b: Sequence = ()) -> Fra
         raise ValueError(f"sequence a needs {n} terms, got {len(a)}")
     if r >= 1 and len(b) < n + 1:
         raise ValueError(f"sequence b needs {n + 1} terms, got {len(b)}")
-    series = QXSeries.one(n)
+    series = (Fraction(1),) + (Fraction(0),) * n
     if k >= 1:
-        series = series * _pow_series(_egf_values(a[:n], n, 1), k, n)
+        series = _pow_series(_egf_values(a[:n], n, 1), k)
     if r >= 1:
-        series = series * _pow_series(_egf_values(b[: n + 1], n + 1, 0), r, n)
-    return factorial(n) * series.coeff(n).coeff(0) / factorial(k)
+        series = series_mul(series, _pow_series(_egf_values(b[: n + 1], n + 1, 0), r))
+    return factorial(n) * series[n] / factorial(k)
 
 
 def partial_bell(n: int, k: int, a: Sequence) -> Fraction:

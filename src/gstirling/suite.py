@@ -422,7 +422,8 @@ def _addition(pairs, nmax, mode):
 
 def _gf_derivative(pairs, nmax, mode, m=None, order=None):
     order = nmax + 2 if order is None else order
-    ms = (m,) if m is not None else range(min(nmax, 5) + 1)
+    # a negative order still reaches verify_gf_derivative, which rejects it
+    ms = (m,) if m is not None else range(min(nmax, 5, max(order, 0)) + 1)
     for a, b in pairs:
         if mode != "pair":
             ok = (

@@ -283,6 +283,24 @@ def test_verify_rejects_options_the_identity_does_not_read(capsys):
     assert "does not take --order" in err
 
 
+def test_verify_gf_derivative_order_below_the_default_m_range(capsys):
+    # without --m, m runs to min(nmax, 5, order)
+    gf = ("verify", "--identity", "gf-derivative")
+    code, out, _ = run_cli(capsys, *gf, "--order", "3", "--alpha", "1/2", "--beta", "-1")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "PASS gf-derivative alpha=1/2 beta=-1 m=3 order=3",
+        "# checks=4 failures=0",
+    ]
+    code, out, _ = run_cli(capsys, *gf, "--order", "3", "--nmax", "2")
+    assert code == 0
+    assert "m<=2 order=3" in out.splitlines()[0]
+    assert out.splitlines()[-1] == f"# checks={len(suite.GRID)} failures=0"
+    code, out, err = run_cli(capsys, *gf, "--order", "-1")
+    assert code == 2 and out == ""
+    assert "need 0 <= m <= order" in err
+
+
 def test_verify_bell_operator_lambda_needs_a_pair(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "bell-operator", "--lambda", "7")
     assert code == 2 and out == ""
