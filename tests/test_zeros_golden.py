@@ -5,6 +5,8 @@ benchmark asks for (1/64 and 2^-20), all three output formats, the main
 and secondary real-rootedness regions, two pairs outside both (one with
 non-real-rooted members, one with a repeated root at 0) and the boundary
 pair (1, -1), whose members have exact rational roots printed as [r, r].
+The last run reaches degree 20 of the (-1/2, -1/2) family in the default
+pretty format, where the remainder chains are longest.
 """
 
 import hashlib
@@ -37,6 +39,10 @@ RUNS = (
     (
         ("--alpha", "3/2", "--beta", "-3/4", "--nmax", "7", "--max-width", "1/64", "--format", "csv"),
         "32541f74b818cf057fa3f7068d14bfb8c227693c02fe2977efc63f0980db4181",
+    ),
+    (
+        ("--alpha", "-1/2", "--beta", "-1/2", "--nmax", "20"),
+        "b0c46a02c99b30195d8180c1cd3778f4a379bad1b9e6be1d85817e5c7e7c5692",
     ),
 )
 

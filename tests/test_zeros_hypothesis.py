@@ -1,10 +1,11 @@
-"""Property test of root isolation on random square-free polynomials (optional)."""
+"""Property tests of root isolation, gcds and root counts on random
+integer polynomials (optional)."""
 
 from fractions import Fraction
 
 import pytest
 
-from gstirling.qpoly import QPolynomial
+from gstirling.qpoly import QPolynomial, poly_gcd
 from gstirling.zeros import count_real_roots, isolate_roots, square_free_part
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -28,3 +29,26 @@ def test_intervals_are_narrow_disjoint_and_bracket_a_root(coeffs, width):
             assert p(lo) * p(hi) < 0
     for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
         assert hi < lo
+
+
+def _euclid_gcd(p, q):
+    """Monic gcd by Euclid's loop over Fraction coefficients."""
+    while not q.is_zero:
+        p, q = q, divmod(p, q)[1]
+    return p if p.is_zero else p * (1 / p.lead)
+
+
+FACTORS = st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(FACTORS, COEFFS, st.integers(2, 3))
+def test_repeated_factor_gcd_and_distinct_count(cofactor, base, power):
+    repeated = QPolynomial(base)
+    p = QPolynomial(cofactor)
+    for _ in range(power):
+        p = p * repeated
+    dp = p.derivative()
+    assert poly_gcd(p, dp) == _euclid_gcd(p, dp)
+    assert poly_gcd(p, QPolynomial(cofactor)) == _euclid_gcd(p, QPolynomial(cofactor))
+    assert count_real_roots(p) == count_real_roots(square_free_part(p))
