@@ -229,6 +229,8 @@ def family_laguerre(lam, n: int) -> QPolynomial:
     This follows the source convention with argument +x; the common
     classical convention is recovered by substituting x -> -x.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     return Fraction(1, factorial(n)) * poly(laguerre_params(lam), n)
 
 

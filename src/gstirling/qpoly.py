@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -155,14 +156,62 @@ def poly_divexact(p: QPolynomial, q: QPolynomial) -> QPolynomial:
     return quo
 
 
+def _primitive(p: QPolynomial) -> tuple[int, ...]:
+    """p scaled by a positive rational to coprime integer coefficients."""
+    den = 1
+    for c in p.coefficients:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return _content_free([c.numerator * (den // c.denominator) for c in p.coefficients])
+
+
+def _content_free(ints: list[int]) -> tuple[int, ...]:
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return tuple(v // g for v in ints)
+
+
+def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """-(a mod b) scaled by a positive rational to coprime integers.
+
+    Pseudo-division by b with its leading coefficient made positive gives
+    lc**(d+1) * (a mod b), d = deg a - deg b, a positive multiple of the
+    remainder; dividing by -b leaves the remainder itself unchanged.
+    """
+    if b[-1] < 0:
+        b = tuple(-c for c in b)
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        rem = [lead * v for v in rem]
+        if c:
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return _content_free([-v for v in rem])
+
+
+def remainder_sequence(p: QPolynomial, q: QPolynomial) -> tuple[tuple[int, ...], ...]:
+    """The signed remainder sequence of p and q over the integers.
+
+    The members are p, q, then the negated remainder of the two before,
+    down to the last nonzero one, which is gcd(p, q) up to a constant
+    factor.  Each member is stored scaled by a positive rational to
+    coprime integer coefficients, low degree first, so it has the signs
+    of the same sequence built over the rationals (Collins' primitive
+    pseudo-remainder sequence, with the sign of lc**(d+1) corrected).
+    """
+    seq = [_primitive(p)]
+    nxt = _primitive(q)
+    while nxt:
+        seq.append(nxt)
+        nxt = _negated_remainder(seq[-2], nxt)
+    return tuple(seq)
+
+
 def poly_gcd(p: QPolynomial, q: QPolynomial) -> QPolynomial:
     """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
-    a, b = p, q
-    while not b.is_zero:
-        # keeping the divisor monic tames coefficient growth in Euclid's loop
-        b = b * (1 / b.lead)
-        _, r = divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a * (1 / a.lead)
+    last = remainder_sequence(p, q)[-1]
+    return QPolynomial(Fraction(c, last[-1]) for c in last) if last else QPolynomial()

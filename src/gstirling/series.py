@@ -91,16 +91,26 @@ def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
     The two binomial factors stay separate series, so the check does not
     assume the exponent law (1-t)**a * (1-t)**b = (1-t)**(a+b).
     """
-    from .stirling import gstirling_explicit  # deferred: stirling uses this module
+    return verify_gf_derivatives(alpha, beta, (m,), order)
 
+
+def verify_gf_derivatives(alpha, beta, ms, order: int) -> bool:
+    """verify_gf_derivative for every m in ms, from one set of columns."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
-    if not 0 <= m <= order:
-        raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
-
-    length = order - m + 1
+    for m in ms:
+        if not 0 <= m <= order:
+            raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
     columns = _gf_columns(alpha, beta, order)
+    return all(_derivative_holds(columns, alpha, beta, m) for m in ms)
+
+
+def _derivative_holds(columns: list, alpha: Fraction, beta: Fraction, m: int) -> bool:
+    from .stirling import gstirling_explicit  # deferred: stirling uses this module
+
+    order = len(columns) - 1
+    length = order - m + 1
     lower = binomial_series(-m, order - m)
     weights = []
     for k in range(m + 1):

@@ -203,9 +203,7 @@ def addition_ok(alpha: Fraction, beta: Fraction, total: int = 10) -> bool:
 def gf_derivative_ok(
     alpha: Fraction, beta: Fraction, mmax: int = 5, order: int = 10
 ) -> bool:
-    return all(
-        series.verify_gf_derivative(alpha, beta, m, order) for m in range(mmax + 1)
-    )
+    return series.verify_gf_derivatives(alpha, beta, range(mmax + 1), order)
 
 
 def rodrigues_ok(alpha: Fraction, beta: Fraction, nmax: int = 6) -> bool:

@@ -1,11 +1,14 @@
 """Exact real-root counting, isolation, and the region/log-concavity checks.
 
-Root counts come from sign-variation differences along a signed remainder
-chain; multiplicities are handled by recursive gcd splitting, and root
-isolation bisects [-B, B], B = 1 + max|c_i/c_n| the Cauchy bound, on exact
-counts.  Every sign is read from integer arithmetic: the chain keeps each
-member as primitive integer coefficients, and the sign of q(n/d) with d > 0
-is the sign of the integer sum of c_i * n**i * d**(deg - i).  Bisection
+Root counts come from sign-variation differences along the signed
+remainder chain of p and p', built once over the integers by
+``qpoly.remainder_sequence``.  Its last member is gcd(p, p'), so one chain
+gives both the distinct-root count and the repeated part; multiplicities
+are handled by recursing on that gcd, and root isolation bisects [-B, B],
+B = 1 + max|c_i/c_n| the Cauchy bound, on exact counts.  Every sign is
+read from integer arithmetic: the chain keeps each member as primitive
+integer coefficients, and the sign of q(n/d) with d > 0 is the sign of
+the integer sum of c_i * n**i * d**(deg - i).  Bisection
 points are integer numerators over one shared denominator, so no Fraction
 is built until an interval is reported, and the intervals are exactly
 those of a bisection on rational values.  An interval either provably
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .family import FamilyParams, poly
-from .qpoly import QPolynomial, poly_divexact, poly_gcd
+from .qpoly import QPolynomial, poly_divexact, remainder_sequence
 from .stirling import triangle_rows
 
 REGION_MAIN = "A"
@@ -28,43 +31,24 @@ REGION_SECONDARY = "A-tilde"
 REGION_NONE = "neither"
 
 
-def _primitive(p: QPolynomial) -> tuple[int, ...]:
-    """p scaled by a positive rational to coprime integer coefficients."""
-    den = 1
-    for c in p.coefficients:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coefficients]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return tuple(v // g for v in ints)
-
-
 @dataclass(frozen=True)
 class SturmChain:
-    """p, p', then sign-negated remainders (each rescaled by a positive
-    rational) down to a constant for square-free input.
+    """The signed remainder sequence of p and p': p, p', then each
+    member the negated remainder of the two before it, down to the last
+    nonzero one, which is gcd(p, p') up to a constant factor (a constant
+    for square-free p).
 
-    ``ints[i]`` is ``polys[i]`` scaled by a positive rational to coprime
-    integer coefficients, low degree first; it has the same signs.
+    ``ints[i]`` is member i scaled by a positive rational to coprime
+    integer coefficients, low degree first; it has the member's signs.
     """
 
-    polys: tuple[QPolynomial, ...]
     ints: tuple[tuple[int, ...], ...]
 
 
 def sturm_chain(p: QPolynomial) -> SturmChain:
     if p.is_zero:
         raise ValueError("no remainder chain for the zero polynomial")
-    chain = [p]
-    ints = [_primitive(p)]
-    nxt = _primitive(p.derivative())
-    while nxt:
-        chain.append(QPolynomial(nxt))
-        ints.append(nxt)
-        _, rem = divmod(chain[-2], chain[-1])
-        nxt = _primitive(-rem)
-    return SturmChain(tuple(chain), tuple(ints))
+    return SturmChain(remainder_sequence(p, p.derivative()))
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -103,18 +87,24 @@ def _variations_at(chain: SturmChain, x: Fraction) -> int:
 
 def _variations_at_infinity(chain: SturmChain, positive: bool) -> int:
     signs = []
-    for q in chain.polys:
-        s = 1 if q.lead > 0 else -1
-        if not positive and q.degree % 2 == 1:
+    for q in chain.ints:
+        s = 1 if q[-1] > 0 else -1
+        if not positive and len(q) % 2 == 0:  # odd degree
             s = -s
         signs.append(s)
     return _variations(signs)
 
 
+def _repeated_part(chain: SturmChain) -> QPolynomial:
+    """Monic gcd(p, p'), read from the last member of p's chain."""
+    last = chain.ints[-1]
+    return QPolynomial(Fraction(c, last[-1]) for c in last)
+
+
 def _split_repeated(p: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
     """(g, q) with g = gcd(p, p') and q = p / g, which has p's distinct
     roots, all simple."""
-    g = poly_gcd(p, p.derivative())
+    g = _repeated_part(sturm_chain(p))
     return g, (p if g.degree <= 0 else poly_divexact(p, g))
 
 
@@ -126,6 +116,9 @@ def square_free_part(p: QPolynomial) -> QPolynomial:
 
 
 def _count_distinct(chain: SturmChain) -> int:
+    """Distinct real roots of p.  Square-freeness is not needed: dividing
+    every member by gcd(p, p') leaves the sign variations at -/+ infinity
+    unchanged."""
     return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
 
 
@@ -138,12 +131,12 @@ def count_real_roots(p: QPolynomial) -> int:
     """Number of distinct real roots, from variations at minus/plus infinity."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no root count")
-    return _count_distinct(sturm_chain(square_free_part(p)))
+    return _count_distinct(sturm_chain(p))
 
 
-def _real_rooted(q: QPolynomial, distinct: int, g: QPolynomial) -> bool:
-    """All roots real, given p's split (g, q) and q's distinct real roots."""
-    return distinct == q.degree and (g.degree < 1 or all_roots_real(g))
+def _real_rooted(p: QPolynomial, distinct: int, g: QPolynomial) -> bool:
+    """All roots of p real, given g = gcd(p, p') and p's distinct real roots."""
+    return distinct == p.degree - g.degree and (g.degree < 1 or all_roots_real(g))
 
 
 def all_roots_real(p: QPolynomial) -> bool:
@@ -155,8 +148,8 @@ def all_roots_real(p: QPolynomial) -> bool:
     """
     if p.degree < 1:
         raise ValueError("real-rootedness is only defined for degree >= 1")
-    g, q = _split_repeated(p)
-    return _real_rooted(q, _count_distinct(sturm_chain(q)), g)
+    chain = sturm_chain(p)
+    return _real_rooted(p, _count_distinct(chain), _repeated_part(chain))
 
 
 def _cauchy_bound(p: QPolynomial) -> Fraction:
@@ -178,7 +171,7 @@ def isolate_roots(
         raise ValueError("cannot isolate roots of the zero polynomial")
     # the chain ends in gcd(p, p') up to a constant factor
     chain = sturm_chain(p)
-    if chain.polys[-1].degree > 0:
+    if len(chain.ints[-1]) > 1:
         raise ValueError("root isolation requires square-free input")
     max_width = Fraction(max_width)
     if max_width <= 0:
@@ -240,10 +233,13 @@ def isolate_roots(
 
 
 def count_roots_between(p: QPolynomial, a: Fraction, b: Fraction) -> int:
-    """Distinct roots of p in the half-open interval (a, b]."""
+    """Distinct roots of p in the half-open interval (a, b], for a <= b."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no root count")
-    return _count_halfopen(sturm_chain(square_free_part(p)), Fraction(a), Fraction(b))
+    a, b = Fraction(a), Fraction(b)
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
+    return _count_halfopen(sturm_chain(square_free_part(p)), a, b)
 
 
 def classify_region(alpha, beta) -> str:
@@ -319,14 +315,15 @@ def region_report(
         covered_up_to = min(nmax, math.ceil(params.alpha))
     rows = []
     for n in range(1, nmax + 1):
-        g, q = _split_repeated(poly(params, n))
-        # one interval per distinct real root of q: the isolation's count
-        # is the chain's count at -/+ infinity, so q's chain is built once
+        p = poly(params, n)
+        g, q = _split_repeated(p)
+        # one interval per distinct real root of q, which are p's: the
+        # isolation's count is the chain's count at -/+ infinity
         roots = tuple(isolate_roots(q, max_width))
         rows.append(
             RegionRow(
                 n=n,
-                all_real=_real_rooted(q, len(roots), g),
+                all_real=_real_rooted(p, len(roots), g),
                 asserted=n <= covered_up_to,
                 roots=roots,
             )

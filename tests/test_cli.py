@@ -307,6 +307,12 @@ def test_verify_bell_operator_lambda_needs_a_pair(capsys):
     assert "--lambda needs --alpha and --beta" in err
 
 
+def test_family_laguerre_rejects_a_negative_degree(capsys):
+    code, out, err = run_cli(capsys, "family", "laguerre", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: n must be >= 0, got -1\n"
+
+
 def test_verify_failure_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(
         suite, "rodrigues_ok", lambda a, b, nmax=6: False

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -46,19 +47,33 @@ def test_count_is_of_distinct_roots():
 
 
 def test_sturm_chain_shape():
-    p = QPolynomial((-2, 0, 1))
-    chain = sturm_chain(p).polys
-    assert chain[0] == p
-    assert chain[-1].degree == 0  # square-free input ends at a constant
-    # each remainder is the negated remainder of its two predecessors,
+    for p in (
+        QPolynomial((-2, 0, 1)),
+        family_U(6),
+        -3 * _from_roots([1, 1, F(-1, 3)], [(2, 1, 1)]),  # repeated root
+    ):
+        _check_chain(p)
+
+
+def _check_chain(p):
+    ints = sturm_chain(p).ints
+    chain = [QPolynomial(c) for c in ints]
+    for c in ints:
+        assert math.gcd(*c) == 1  # coprime integer coefficients
+    # p and p' up to a positive rational factor
+    for member, poly_ in zip(chain, (p, p.derivative())):
+        assert member * (poly_.lead / member.lead) == poly_
+        assert poly_.lead / member.lead > 0
+    # the last member is gcd(p, p'), a constant for square-free input
+    assert chain[-1] * (1 / chain[-1].lead) == poly_gcd(p, p.derivative())
+    # each later member is the negated remainder of its two predecessors,
     # up to a positive rational factor
     for i in range(2, len(chain)):
         _, rem = divmod(chain[i - 2], chain[i - 1])
-        if rem.is_zero:
-            continue
         ratio = chain[i].lead / (-rem).lead
         assert ratio > 0
         assert chain[i] * (1 / ratio) == -rem
+    assert divmod(chain[-2], chain[-1])[1].is_zero
 
 
 def test_all_roots_real_examples():
@@ -152,6 +167,14 @@ def test_interlacing_of_derivative_roots():
             dp = p.derivative()
             for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
                 assert count_roots_between(dp, hi, lo) >= 1
+
+
+def test_count_roots_between_rejects_a_reversed_interval():
+    p = QPolynomial((-1, 0, 1))
+    assert count_roots_between(p, -2, 2) == 2
+    assert count_roots_between(p, 1, 1) == 0
+    with pytest.raises(ValueError):
+        count_roots_between(p, 2, -2)
 
 
 def test_region_classification():
