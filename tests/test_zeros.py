@@ -37,6 +37,8 @@ def test_count_examples():
     assert count_real_roots(QPolynomial((1, 0, 1))) == 0  # x^2 + 1
     assert count_real_roots(QPolynomial((-1, 0, 1))) == 2  # x^2 - 1
     assert count_real_roots(QPolynomial((0, 2, 1))) == 2  # x^2 + 2x
+    assert count_real_roots(QPolynomial((-1, 1, 0, 0, 1))) == 2  # x^4 + x - 1
+    assert count_real_roots(QPolynomial((1, 1, 0, 0, 1))) == 0  # x^4 + x + 1
     with pytest.raises(ValueError):
         count_real_roots(QPolynomial())
 
@@ -51,6 +53,10 @@ def test_sturm_chain_shape():
         QPolynomial((-2, 0, 1)),
         family_U(6),
         -3 * _from_roots([1, 1, F(-1, 3)], [(2, 1, 1)]),  # repeated root
+        # x^4 + x - 1: the third member, 4 - 3x, has a negative lead and
+        # follows a degree gap of 2, so pseudo-division multiplies by
+        # (-3)**3 < 0 there
+        QPolynomial((-1, 1, 0, 0, 1)),
     ):
         _check_chain(p)
 
