@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from gstirling import family
 from gstirling.family import (
     FamilyParams,
     addition,
@@ -210,6 +211,33 @@ def test_lah_rebase_signs():
     assert coeffs == [F(-1) ** k * lah(4, k) for k in range(5)]
 
 
+def _bump_member(monkeypatch, target, degree):
+    """Make family.poly return member ``degree`` at ``target`` plus 1."""
+    right = family.poly
+
+    def wrong(params, n):
+        p = right(params, n)
+        return p + QPolynomial.one() if (params, n) == (target, degree) else p
+
+    monkeypatch.setattr(family, "poly", wrong)
+
+
+def test_bell_basis_forward_detects_a_wrong_member(monkeypatch):
+    params = FamilyParams(F("1/3"), F(-2))
+    _bump_member(monkeypatch, params, 2)
+    assert verify_bell_basis_forward(params, 1)
+    assert not verify_bell_basis_forward(params, 4)
+
+
+def test_lah_rebase_detects_a_wrong_mirrored_member(monkeypatch):
+    # the coefficients still match the signed Lah numbers; only the
+    # reconstruction from the mirrored members can notice
+    params = FamilyParams(F("1/3"), F(-2))
+    _bump_member(monkeypatch, FamilyParams(F("-1/3"), F(2)), 2)
+    assert lah_rebase_report(params, 1).alternating_sign_ok
+    assert not lah_rebase_report(params, 4).alternating_sign_ok
+
+
 # ---------------------------------------------------------------------------
 # addition formula
 
@@ -294,3 +322,19 @@ def test_rising_expansion_example():
 def test_rising_expansion_grid(params):
     for n in range(9):
         assert rising_expansion(params, n).equal
+
+
+def test_rising_expansion_detects_a_wrong_triangle_entry(monkeypatch):
+    right = family.triangle_rows
+
+    def wrong(alpha, beta, nmax):
+        rows = right(alpha, beta, nmax)
+        if nmax < 3:
+            return rows
+        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
+        return rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(family, "triangle_rows", wrong)
+    params = FamilyParams(F(1, 2), F(-3))
+    assert rising_expansion(params, 2).equal
+    assert not rising_expansion(params, 3).equal

@@ -332,6 +332,25 @@ def test_composition_sign_resolution():
     assert report.failures == ()
 
 
+def test_composition_rising_half_detects_a_wrong_composed_entry(monkeypatch):
+    # (1, -1) through (0, -2) composes at (1, 1/2); entry (3, 1) there
+    # feeds the rising identity at n = 3 and no other
+    right = stirling.triangle_rows
+
+    def wrong(alpha, beta, nmax):
+        rows = right(alpha, beta, nmax)
+        if (alpha, beta) != (F(1), F(1, 2)) or nmax < 3:
+            return rows
+        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
+        return rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(stirling, "triangle_rows", wrong)
+    report = composition_report(F(1), F(-1), F(0), F(-2), 4)
+    assert not report.ok
+    assert (3, -1) in report.failures
+    assert (2, -1) not in report.failures and (4, -1) not in report.failures
+
+
 def test_composition_rejects_zero_beta2():
     with pytest.raises(ValueError):
         verify_composition(1, 1, 1, 0, 4)

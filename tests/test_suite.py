@@ -1,0 +1,48 @@
+"""Failing paths of the suite batches: each must notice one wrong input."""
+
+from fractions import Fraction
+
+import pytest
+
+from gstirling import family, suite
+
+F = Fraction
+
+
+def test_rebase_roundtrip_detects_a_wrong_coefficient(monkeypatch):
+    right = family.rebase
+
+    def wrong(p_from, p_to, n):
+        coeffs = right(p_from, p_to, n)
+        if n == 2:
+            coeffs[1] += 1
+        return coeffs
+
+    source, target = suite.REBASE_PAIRS[0]
+    monkeypatch.setattr(family, "rebase", wrong)
+    assert suite.rebase_roundtrip_ok(source, target, 1)
+    assert not suite.rebase_roundtrip_ok(source, target, 3)
+
+
+@pytest.mark.parametrize(
+    "params, detail",
+    [
+        (family.U_PARAMS, "family=U n<=4"),
+        (family.V_PARAMS, "family=V n<=4"),
+        (family.laguerre_params(F(5, 2)), "family=laguerre lambda=5/2 n<=4"),
+        (family.FamilyParams(F(0), F(-2)), "family=assoc-lah m=2 n<=4"),
+    ],
+)
+def test_specializations_detect_a_wrong_bell_coefficient(monkeypatch, params, detail):
+    right = family.to_bell_basis
+
+    def wrong(p, n):
+        coeffs = right(p, n)
+        if p == params and n == 3:
+            coeffs[1] += 1
+        return coeffs
+
+    monkeypatch.setattr(family, "to_bell_basis", wrong)
+    failed = [result.detail for result in suite.specializations_ok(4) if not result.ok]
+    assert failed == [detail]
+
