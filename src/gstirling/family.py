@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .qpoly import QPolynomial
+from .qpoly import QPolynomial, combine, linear_products
 from .rationals import rising
 from .stirling import (
     gstirling_inverse,
@@ -136,10 +136,8 @@ def to_bell_basis(params: FamilyParams, n: int) -> list[Fraction]:
 
 def from_bell_basis(coeffs) -> QPolynomial:
     """Reassemble a polynomial from Bell-basis coefficients."""
-    out = QPolynomial.zero()
-    for j, c in enumerate(coeffs):
-        out = out + Fraction(c) * bell_poly(j)
-    return out
+    coeffs = [Fraction(c) for c in coeffs]
+    return combine(coeffs, [bell_poly(j) for j in range(len(coeffs))])
 
 
 def verify_bell_basis_forward(params: FamilyParams, nmax: int) -> bool:
@@ -149,13 +147,11 @@ def verify_bell_basis_forward(params: FamilyParams, nmax: int) -> bool:
         = sum_k C(n, k) * alpha**(n-k) * beta**k * Bell_k(x).
     """
     a, b = params.alpha, params.beta
+    members = [poly(params, k) for k in range(nmax + 1)]
+    bells = [bell_poly(k) for k in range(nmax + 1)]
     for n in range(nmax + 1):
-        lhs = QPolynomial.zero()
-        rhs = QPolynomial.zero()
-        for k in range(n + 1):
-            term = stirling2(n, k) * poly(params, k)
-            lhs = lhs + (term if k % 2 == 0 else -term)
-            rhs = rhs + (comb(n, k) * a ** (n - k) * b**k) * bell_poly(k)
+        lhs = combine([(-1) ** k * stirling2(n, k) for k in range(n + 1)], members)
+        rhs = combine([comb(n, k) * a ** (n - k) * b**k for k in range(n + 1)], bells)
         if lhs != rhs:
             return False
     return True
@@ -259,16 +255,9 @@ def rising_expansion(params: FamilyParams, n: int) -> RisingExpansion:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     a, b = params.alpha, params.beta
-    lhs = QPolynomial.one()
-    for i in range(n):
-        lhs = lhs * QPolynomial((-a + i, -b))
-    row = triangle_rows(a, b, n)[n]
-    rhs = QPolynomial.zero()
-    falling_poly = QPolynomial.one()
-    for j in range(n + 1):
-        rhs = rhs + row[j] * falling_poly
-        falling_poly = falling_poly * QPolynomial((-j, 1))
-    return RisingExpansion(lhs, rhs)
+    lhs = linear_products((-a + i, -b) for i in range(n))[-1]
+    falling = linear_products((-j, 1) for j in range(n))
+    return RisingExpansion(lhs, combine(triangle_rows(a, b, n)[n], falling))
 
 
 @dataclass(frozen=True)
@@ -294,24 +283,18 @@ def lah_rebase_report(params: FamilyParams, nmax: int) -> LahRebaseReport:
     """Check that rebasing onto (-alpha, -beta) yields (-1)**k * L(n, k)
     and that those coefficients reconstruct the original polynomial."""
     mirrored = FamilyParams(-params.alpha, -params.beta)
+    members = [poly(mirrored, k) for k in range(nmax + 1)]
     alternating_ok = True
     constant_ok = True
     for n in range(nmax + 1):
         coeffs = rebase(params, mirrored, n)
-        expected = [
-            lah(n, k) if k % 2 == 0 else -lah(n, k) for k in range(n + 1)
-        ]
-        if coeffs != expected:
+        unsigned = [lah(n, k) for k in range(n + 1)]
+        if coeffs != [c if k % 2 == 0 else -c for k, c in enumerate(unsigned)]:
             alternating_ok = False
-        rebuilt = QPolynomial.zero()
-        unsigned = QPolynomial.zero()
-        for k, c in enumerate(coeffs):
-            rebuilt = rebuilt + c * poly(mirrored, k)
-            unsigned = unsigned + lah(n, k) * poly(mirrored, k)
         target = poly(params, n)
-        if rebuilt != target:
+        if combine(coeffs, members) != target:
             alternating_ok = False
-        if unsigned != target:
+        if combine(unsigned, members) != target:
             constant_ok = False
     return LahRebaseReport(
         ok=alternating_ok,

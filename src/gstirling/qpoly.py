@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class QPolynomial:
@@ -146,6 +146,31 @@ class QPolynomial:
                 for j in range(dd):
                     rem[i - dd + j] -= f * other._coeffs[j]
         return QPolynomial(quo), QPolynomial(rem[:dd])
+
+
+def combine(coeffs: Sequence, polys: Sequence[QPolynomial]) -> QPolynomial:
+    """sum_j coeffs[j] * polys[j], summed in one coefficient list.
+
+    ``polys`` may be longer than ``coeffs``; its extra members are unused.
+    """
+    if len(polys) < len(coeffs):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(polys)} polynomials")
+    out: list[Fraction] = []
+    for c, p in zip(coeffs, polys):
+        if c:
+            out.extend([Fraction(0)] * (len(p._coeffs) - len(out)))
+            for i, v in enumerate(p._coeffs):
+                out[i] += c * v
+    return QPolynomial(out)
+
+
+def linear_products(factors: Iterable[tuple]) -> list[QPolynomial]:
+    """1 followed by the running products of the factors c0 + c1*x,
+    each factor given as the pair (c0, c1)."""
+    out = [QPolynomial.one()]
+    for factor in factors:
+        out.append(out[-1] * QPolynomial(factor))
+    return out
 
 
 def poly_divexact(p: QPolynomial, q: QPolynomial) -> QPolynomial:

@@ -55,24 +55,31 @@ def _gf_columns(alpha: Fraction, beta: Fraction, order: int) -> list[tuple[Fract
     return columns
 
 
+def gf_rows(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows 0..nmax of n! * C_k[n], k <= n: the coefficient triangle read
+    off the column series.  Any beta is accepted; at beta = 0 every column
+    past C_0 is zero."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    columns = _gf_columns(alpha, beta, nmax)
+    return tuple(
+        tuple(factorial(n) * column[n] for column in columns[: n + 1])
+        for n in range(nmax + 1)
+    )
+
+
 def gf_polynomials(alpha, beta, nmax: int) -> list[QPolynomial]:
     """Polynomials read off the family's generating function.
 
     Entry n is n! times the t**n coefficient of the expanded generating
-    function; its x**k coefficient is n! * C_k[n].  This is the
-    series-side route to the family and the oracle the recurrence
-    construction is checked against.
+    function; its x**k coefficient is n! * C_k[n], row n of ``gf_rows``.
+    This is the series-side route to the family and the oracle the
+    recurrence construction is checked against.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if beta == 0:
+    if Fraction(beta) == 0:
         raise ValueError("the family requires beta != 0")
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    columns = _gf_columns(alpha, beta, nmax)
-    return [
-        QPolynomial(factorial(n) * column[n] for column in columns[: n + 1])
-        for n in range(nmax + 1)
-    ]
+    return [QPolynomial(row) for row in gf_rows(alpha, beta, nmax)]
 
 
 def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:

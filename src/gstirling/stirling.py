@@ -16,9 +16,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .qpoly import QPolynomial
+from .qpoly import combine, linear_products
 from .rationals import rising
-from .series import _gf_columns, series_mul
+from .series import gf_rows, series_mul
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -113,14 +113,7 @@ def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     Column k of the triangle has exponential generating function
     C_k = (1/k!) * ((1-t)**beta - 1)**k * (1-t)**alpha, so S(n, k) = n! * C_k[n].
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    columns = _gf_columns(alpha, beta, nmax)
-    return tuple(
-        tuple(factorial(n) * column[n] for column in columns[: n + 1])
-        for n in range(nmax + 1)
-    )
+    return gf_rows(alpha, beta, nmax)
 
 
 def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
@@ -311,26 +304,16 @@ def composition_report(alpha, beta, alpha2, beta2, nmax: int) -> CompositionRepo
             if outer != left[n][k]:
                 outer_ok = False
 
-    lhs_rising = QPolynomial.one()
-    rising_targets: list[QPolynomial] = []
-    acc = QPolynomial.one()
-    for i in range(nmax + 1):
-        rising_targets.append(acc)
-        acc = acc * QPolynomial((-alpha2 + i, -beta2))
+    lhs_rising = linear_products((-alpha + i, -beta) for i in range(nmax))
+    rising_targets = linear_products((-alpha2 + i, -beta2) for i in range(nmax))
     for n in range(nmax + 1):
-        rhs_index = QPolynomial.zero()
-        rhs_plain = QPolynomial.zero()
-        for j in range(n + 1):
-            term = composed[n][j] * rising_targets[j]
-            rhs_plain = rhs_plain + term
-            rhs_index = rhs_index + (term if j % 2 == 0 else -term)
-        if rhs_index != lhs_rising:
+        signed = [c if j % 2 == 0 else -c for j, c in enumerate(composed[n])]
+        if combine(signed, rising_targets) != lhs_rising[n]:
             index_ok = False
             failures.append((n, -1))
-        rhs_outer = rhs_plain if n % 2 == 0 else -rhs_plain
-        if rhs_outer != lhs_rising:
+        plain = combine(composed[n], rising_targets)
+        if (plain if n % 2 == 0 else -plain) != lhs_rising[n]:
             outer_ok = False
-        lhs_rising = lhs_rising * QPolynomial((-alpha + n, -beta))
 
     return CompositionReport(
         ok=index_ok,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import family, operators, series, stirling, zeros
-from .qpoly import QPolynomial
+from .qpoly import QPolynomial, combine
 from .rationals import falling, rising
 
 GRID_ALPHAS = tuple(
@@ -161,20 +161,26 @@ def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int = 10) -> bool:
     return True
 
 
+def _bell_display_ok(params, nmax: int, weight) -> bool:
+    """Bell-basis coefficient j of each member up to nmax must equal the
+    printed display sum_{k=j..n} C(k, j) * |s(n, k)| * weight(k, j)."""
+    for n in range(nmax + 1):
+        coeffs = family.to_bell_basis(params, n)
+        for j in range(n + 1):
+            display = sum(
+                math.comb(k, j) * abs(stirling.stirling1(n, k)) * weight(k, j)
+                for k in range(j, n + 1)
+            )
+            if coeffs[j] != display:
+                return False
+    return True
+
+
 def u_bell_display_ok(nmax: int = 10) -> bool:
     """Bell-basis coefficients of the first specialization must equal
     sum_{k=j..n} C(k, j) * |s(n, k)| / 2**k (the printed display, with
     the C(k, j) factor its source omits)."""
-    for n in range(nmax + 1):
-        coeffs = family.to_bell_basis(family.U_PARAMS, n)
-        for j in range(n + 1):
-            expected = sum(
-                math.comb(k, j) * abs(stirling.stirling1(n, k)) * Fraction(1, 2**k)
-                for k in range(j, n + 1)
-            )
-            if coeffs[j] != expected:
-                return False
-    return True
+    return _bell_display_ok(family.U_PARAMS, nmax, lambda k, j: Fraction(1, 2**k))
 
 
 def rbell_ok(alpha: Fraction, beta: Fraction, rmax: int = 3, nmax: int = 8) -> bool:
@@ -227,36 +233,26 @@ def bell_operator_ok(alpha: Fraction, beta: Fraction, nmax: int = 5) -> bool:
 def rebase_roundtrip_ok(source, target, nmax: int = 6) -> bool:
     p_from = family.FamilyParams(*source)
     p_to = family.FamilyParams(*target)
+    members = [family.poly(p_to, j) for j in range(nmax + 1)]
     for n in range(nmax + 1):
-        coeffs = family.rebase(p_from, p_to, n)
-        rebuilt = QPolynomial.zero()
-        for j, c in enumerate(coeffs):
-            rebuilt = rebuilt + c * family.poly(p_to, j)
-        if rebuilt != family.poly(p_from, n):
+        if combine(family.rebase(p_from, p_to, n), members) != family.poly(p_from, n):
             return False
     return True
 
 
 def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int = 20) -> tuple[bool, int]:
-    """Real-rootedness over the degrees the region classification asserts.
+    """Real-rootedness over the degrees up to nmax_main that the region
+    classification asserts (``zeros.asserted_degrees``).
 
-    Returns (ok, number of asserted degrees); zero asserted degrees means
-    the parameters carry no claim.
+    Returns (ok, number of asserted degrees checked); zero asserted
+    degrees means the parameters carry no claim.
     """
-    region = zeros.classify_region(alpha, beta)
-    if region == zeros.REGION_MAIN:
-        degrees = range(1, nmax_main + 1)
-    elif region == zeros.REGION_SECONDARY:
-        degrees = range(1, math.ceil(alpha) + 1)
-    else:
-        return True, 0
     params = family.FamilyParams(alpha, beta)
-    checked = 0
-    for n in degrees:
-        checked += 1
+    degrees = zeros.asserted_degrees(alpha, beta, nmax_main)
+    for checked, n in enumerate(degrees, 1):
         if not zeros.all_roots_real(family.poly(params, n)):
             return False, checked
-    return True, checked
+    return True, len(degrees)
 
 
 def log_concave_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool:
@@ -294,18 +290,7 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
         if name == "U":
             ok = ok and u_bell_display_ok(nmax)
         else:
-            # coefficient j is (1/3**j) * sum C(k,j) |s(n,k)| (3/2)**k
-            for n in range(nmax + 1):
-                coeffs = family.to_bell_basis(params, n)
-                for j in range(n + 1):
-                    expected = Fraction(1, 3**j) * sum(
-                        math.comb(k, j)
-                        * abs(stirling.stirling1(n, k))
-                        * Fraction(3, 2) ** k
-                        for k in range(j, n + 1)
-                    )
-                    if coeffs[j] != expected:
-                        ok = False
+            ok = ok and _bell_display_ok(params, nmax, lambda k, j: Fraction(3, 2) ** k / 3**j)
         results.append(CheckResult("specializations", f"family={name} n<={nmax}", ok))
 
     for lam in (Fraction(0), Fraction(1), Fraction(5, 2)):
@@ -317,16 +302,7 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
             lag = family.family_laguerre(lam, n)
             if lag * Fraction(factorial(n)) != family.poly(lparams, n):
                 ok = False
-            coeffs = family.to_bell_basis(lparams, n)
-            for j in range(n + 1):
-                expected = sum(
-                    math.comb(k, j)
-                    * abs(stirling.stirling1(n, k))
-                    * (lam + 1) ** (k - j)
-                    for k in range(j, n + 1)
-                )
-                if coeffs[j] != expected:
-                    ok = False
+        ok = ok and _bell_display_ok(lparams, nmax, lambda k, j: (lam + 1) ** (k - j))
         ok = ok and stirling.verify_rbell_connection(
             lparams.alpha, lparams.beta, 1, nmax
         )
@@ -336,20 +312,17 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
 
     for m in (1, 2, 3):
         ok = True
+        lah_params = family.FamilyParams(Fraction(0), Fraction(-m))
         a_seq = [rising(m, j) for j in range(1, nmax + 1)]
         for n in range(nmax + 1):
             p = family.family_assoc_lah(m, n)
             for k in range(n + 1):
                 if p.coeff(k) != stirling.partial_bell(n, k, a_seq):
                     ok = False
-            coeffs = family.to_bell_basis(
-                family.FamilyParams(Fraction(0), Fraction(-m)), n
-            )
-            for j in range(n + 1):
-                if coeffs[j] != Fraction(m) ** j * abs(stirling.stirling1(n, j)):
-                    ok = False
-            if not _dobinski_close(family.FamilyParams(Fraction(0), Fraction(-m)), n):
+            if not _dobinski_close(lah_params, n):
                 ok = False
+        # alpha = 0 leaves only the k = j term: m**j * |s(n, j)|
+        ok = ok and _bell_display_ok(lah_params, nmax, lambda k, j: m**j if k == j else 0)
         results.append(
             CheckResult("specializations", f"family=assoc-lah m={m} n<={nmax}", ok)
         )

@@ -254,6 +254,18 @@ def classify_region(alpha, beta) -> str:
     return REGION_NONE
 
 
+def asserted_degrees(alpha, beta, nmax: int) -> range:
+    """The degrees among 1..nmax whose real-rootedness the region
+    classification asserts: all of them in the main region, those up to
+    ceil(alpha) in the secondary region, none elsewhere."""
+    region = classify_region(alpha, beta)
+    if region == REGION_MAIN:
+        return range(1, nmax + 1)
+    if region == REGION_SECONDARY:
+        return range(1, min(nmax, math.ceil(Fraction(alpha))) + 1)
+    return range(1, 1)
+
+
 @dataclass(frozen=True)
 class RegionRow:
     n: int
@@ -266,10 +278,9 @@ class RegionRow:
 class RegionReport:
     """Per-degree real-rootedness results for one parameter pair.
 
-    ``asserted`` marks the degrees the region classification covers: all
-    degrees in the main region, degrees up to ceil(alpha) in the secondary
-    region, none elsewhere.  Degrees outside the guarantee are still
-    computed and reported, but nothing is claimed about them.
+    ``asserted`` marks the degrees ``asserted_degrees`` names.  Degrees
+    outside the guarantee are still computed and reported, but nothing
+    is claimed about them.
     """
 
     params: FamilyParams
@@ -308,11 +319,7 @@ def region_report(
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     region = classify_region(params.alpha, params.beta)
-    covered_up_to = 0
-    if region == REGION_MAIN:
-        covered_up_to = nmax
-    elif region == REGION_SECONDARY:
-        covered_up_to = min(nmax, math.ceil(params.alpha))
+    asserted = asserted_degrees(params.alpha, params.beta, nmax)
     rows = []
     for n in range(1, nmax + 1):
         p = poly(params, n)
@@ -324,7 +331,7 @@ def region_report(
             RegionRow(
                 n=n,
                 all_real=_real_rooted(p, len(roots), g),
-                asserted=n <= covered_up_to,
+                asserted=n in asserted,
                 roots=roots,
             )
         )

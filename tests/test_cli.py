@@ -307,6 +307,16 @@ def test_verify_bell_operator_lambda_needs_a_pair(capsys):
     assert "--lambda needs --alpha and --beta" in err
 
 
+def test_verify_real_zeros_bounds_secondary_degrees_by_nmax(capsys):
+    # region A-tilde asserts degrees up to ceil(alpha) = 8; --nmax caps them
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "real-zeros", "--alpha", "8", "--beta", "1",
+        "--nmax", "2",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "PASS real-zeros alpha=8 beta=1 region=A-tilde degrees=2"
+
+
 def test_family_laguerre_rejects_a_negative_degree(capsys):
     code, out, err = run_cli(capsys, "family", "laguerre", "--n", "-1")
     assert code == 2 and out == ""
