@@ -278,6 +278,40 @@ def test_partial_r_bell_matches_triangle_instance():
             assert partial_r_bell(1, n, k, a, b) == table.value(n, k)
 
 
+def _oracle_partial_bell(n, k, a):
+    # B(n, k) = sum_i C(n-1, i-1) * a_i * B(n-i, k-1), B(0, 0) = 1
+    if n == 0 or k == 0:
+        return F(int(n == k))
+    return sum(
+        comb(n - 1, i - 1) * a[i - 1] * _oracle_partial_bell(n - i, k - 1, a)
+        for i in range(1, n - k + 2)
+    )
+
+
+def _oracle_r_fold(r, m, b):
+    # m-th entry of the r-fold binomial convolution of b_1, b_2, ...
+    if r == 0:
+        return F(int(m == 0))
+    return sum(comb(m, i) * b[i] * _oracle_r_fold(r - 1, m - i, b) for i in range(m + 1))
+
+
+def test_partial_r_bell_matches_recurrence_oracle():
+    # (n+r, k+r) value = sum_m C(n, m) * B(m, k) * (r-fold b)[n - m]
+    rng = random.Random(2024)
+    for trial in range(4):
+        a = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(8)]
+        b = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(9)]
+        for r in range(4):
+            for n in range(9):
+                for k in range(n + 1):
+                    expected = sum(
+                        comb(n, m) * _oracle_partial_bell(m, k, a) * _oracle_r_fold(r, n - m, b)
+                        for m in range(k, n + 1)
+                    )
+                    value = partial_r_bell(r, n, k, a, b)
+                    assert type(value) is F and value == expected, (trial, r, n, k)
+
+
 def test_partial_bell_rejects_short_sequences():
     with pytest.raises(ValueError):
         partial_bell(4, 2, [1, 2, 3])
