@@ -17,7 +17,7 @@ from .qpoly import QPolynomial, combine, linear_products
 from .rationals import rising
 from .stirling import (
     gstirling_inverse,
-    lah,
+    partial_r_bell_rows,
     stirling1,
     stirling2,
     triangle_rows,
@@ -282,13 +282,15 @@ class LahRebaseReport:
 def lah_rebase_report(params: FamilyParams, nmax: int) -> LahRebaseReport:
     """Check that rebasing onto (-alpha, -beta) yields (-1)**k * L(n, k)
     and that those coefficients reconstruct the original polynomial."""
+    # the Lah numbers L(n, k) are the partial Bell values at a_j = j!
+    lah_rows = partial_r_bell_rows(0, nmax, [factorial(j) for j in range(1, nmax + 1)])
     mirrored = FamilyParams(-params.alpha, -params.beta)
     members = [poly(mirrored, k) for k in range(nmax + 1)]
     alternating_ok = True
     constant_ok = True
     for n in range(nmax + 1):
         coeffs = rebase(params, mirrored, n)
-        unsigned = [lah(n, k) for k in range(n + 1)]
+        unsigned = list(lah_rows[n])
         if coeffs != [c if k % 2 == 0 else -c for k, c in enumerate(unsigned)]:
             alternating_ok = False
         target = poly(params, n)

@@ -1,16 +1,15 @@
 """Truncated power series in t over the rationals, all exact.
 
 A series is a tuple of ``Fraction``s whose entry i multiplies t**i; its
-truncation order is its length minus one.  The family's generating
-function (1-t)**alpha * exp(x*((1-t)**beta - 1)) is handled as the sum
-of x**k * C_k(t) over k, with the scalar column series
-
-    C_k = (1-t)**alpha * ((1-t)**beta - 1)**k / k!.
-
-C_k has no t-power below k, so the columns k <= order give the whole
-truncated function.  Generating-function statements are re-derived here
-by expanding both sides to a fixed order and comparing coefficients, with
-no rounding anywhere.
+truncation order is its length minus one.  Every triangle read off a
+generating function head * exp(x*base), base with no constant term, comes
+from one column extraction: the columns C_k = head * base**k / k! have no
+t-power below k, so C_0..C_order give the whole truncated function and
+n! * C_k[n] is entry (n, k).  The family's generating function is the
+case head = (1-t)**alpha, base = (1-t)**beta - 1; the partial (r-)Bell
+values in ``stirling`` are another.  Generating-function statements are
+re-derived by expanding both sides to a fixed order and comparing
+coefficients, with no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -45,28 +44,36 @@ def series_mul(s1: tuple, s2: tuple) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _gf_columns(alpha: Fraction, beta: Fraction, order: int) -> list[tuple[Fraction, ...]]:
-    """The column series C_0..C_order of the module docstring, at one order."""
-    shifted = binomial_series(beta, order)
-    shifted = (shifted[0] - 1,) + shifted[1:]  # (1-t)**beta - 1
-    columns = [binomial_series(alpha, order)]
-    for k in range(1, order + 1):
-        columns.append(tuple(c / k for c in series_mul(columns[-1], shifted)))
+def egf_columns(head: tuple, base: tuple) -> list[tuple[Fraction, ...]]:
+    """The columns C_0..C_order of head * base**k / k!, order = len(head) - 1;
+    ``base`` shares that order and has no constant term."""
+    columns = [head]
+    for k in range(1, len(head)):
+        columns.append(tuple(c / k for c in series_mul(columns[-1], base)))
     return columns
 
 
+def egf_rows(head: tuple, base: tuple) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows n = 0..order of n! * C_k[n], k <= n, read off ``egf_columns``."""
+    columns = egf_columns(head, base)
+    return tuple(
+        tuple(factorial(n) * column[n] for column in columns[: n + 1])
+        for n in range(len(columns))
+    )
+
+
+def _family_base(beta: Fraction, order: int) -> tuple[Fraction, ...]:
+    return (Fraction(0),) + binomial_series(beta, order)[1:]  # (1-t)**beta - 1
+
+
 def gf_rows(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows 0..nmax of n! * C_k[n], k <= n: the coefficient triangle read
-    off the column series.  Any beta is accepted; at beta = 0 every column
-    past C_0 is zero."""
+    """Rows 0..nmax of the coefficient triangle read off the family's
+    column series.  Any beta is accepted; at beta = 0 every column past
+    C_0 is zero."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    columns = _gf_columns(alpha, beta, nmax)
-    return tuple(
-        tuple(factorial(n) * column[n] for column in columns[: n + 1])
-        for n in range(nmax + 1)
-    )
+    return egf_rows(binomial_series(alpha, nmax), _family_base(beta, nmax))
 
 
 def gf_polynomials(alpha, beta, nmax: int) -> list[QPolynomial]:
@@ -109,7 +116,7 @@ def verify_gf_derivatives(alpha, beta, ms, order: int) -> bool:
     for m in ms:
         if not 0 <= m <= order:
             raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
-    columns = _gf_columns(alpha, beta, order)
+    columns = egf_columns(binomial_series(alpha, order), _family_base(beta, order))
     return all(_derivative_holds(columns, alpha, beta, m) for m in ms)
 
 

@@ -5,20 +5,22 @@ attached to a parameter pair (alpha, beta): the coefficients of the
 polynomial family in the monomial basis.  Around it sit its inverse
 triangle, the classical Stirling numbers of both kinds, Lah and r-Lah
 numbers, and partial (r-)Bell polynomials, each of which specializes or
-transports the central triangle.
+transports the central triangle.  ``partial_r_bell_rows`` reads whole
+partial r-Bell (so also Lah and r-Lah) triangles off the column extraction
+of the family triangle, ``series.egf_rows``, and the per-entry functions
+index into them; ``_TRIANGLES`` is the package's only cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
 from .qpoly import combine, linear_products
 from .rationals import rising
-from .series import gf_rows, series_mul
+from .series import egf_rows, gf_rows, series_mul
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -152,22 +154,6 @@ def stirling1(n: int, k: int) -> int:
     return _stirling_rows(1, n)[n][k]
 
 
-@lru_cache(maxsize=512)
-def _pow_series(values: tuple[Fraction, ...], power: int) -> tuple[Fraction, ...]:
-    """(sum values[i] * t**i) ** power, truncated at len(values) - 1; cached
-    so that triangle sweeps reuse each incremental power."""
-    if power == 0:
-        return (Fraction(1),) + (Fraction(0),) * (len(values) - 1)
-    return series_mul(_pow_series(values, power - 1), values)
-
-
-def _egf_values(seq: Sequence, length: int, shift: int) -> tuple[Fraction, ...]:
-    """Coefficients value[j]/ (j)! laid out from t**shift upward."""
-    out = [Fraction(0)] * shift
-    out.extend(Fraction(seq[j]) / factorial(j + shift) for j in range(length))
-    return tuple(out)
-
-
 def rlah(r: int, n: int, k: int) -> Fraction:
     """r-Lah number with full indices (both arguments already include r).
 
@@ -190,27 +176,39 @@ def lah(n: int, k: int) -> Fraction:
     return rlah(0, n, k)
 
 
+def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tuple[tuple, ...]:
+    """Partial r-Bell values: entry [n][k], k <= n <= nmax, is the value with
+    full indices (n+r, k+r), n! times the t**n coefficient of
+    (1/k!) * (sum_{j>=1} a_j t**j / j!)**k * (sum_{j>=0} b_{j+1} t**j / j!)**r,
+    read by ``series.egf_rows``.  ``a`` lists a_1..a_nmax and ``b`` lists
+    b_1..b_{nmax+1}."""
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    if len(a) < nmax:
+        raise ValueError(f"sequence a needs {nmax} terms, got {len(a)}")
+    if r >= 1 and len(b) < nmax + 1:
+        raise ValueError(f"sequence b needs {nmax + 1} terms, got {len(b)}")
+    base = (Fraction(0),) + tuple(Fraction(a[j]) / factorial(j + 1) for j in range(nmax))
+    head = (Fraction(1),) + (Fraction(0),) * nmax
+    if r >= 1:
+        factor = tuple(Fraction(b[j]) / factorial(j) for j in range(nmax + 1))
+        for _ in range(r):
+            head = series_mul(head, factor)
+    return egf_rows(head, base)
+
+
 def partial_r_bell(r: int, n: int, k: int, a: Sequence, b: Sequence = ()) -> Fraction:
     """Partial r-Bell polynomial with full indices (n+r, k+r) at the given
-    coefficient sequences.
-
-    Extracted as n! times the t**n coefficient of
-    (1/k!) * (sum_{j>=1} a_j t**j / j!)**k * (sum_{j>=0} b_{j+1} t**j / j!)**r,
-    where ``a`` lists a_1..a_n and ``b`` lists b_1..b_{n+1}.
+    coefficient sequences: entry [n][k] of ``partial_r_bell_rows``, which
+    checks that ``a`` lists a_1..a_n (read only when k >= 1) and ``b`` lists
+    b_1..b_{n+1} (read only when r >= 1).
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     _check_indices(n, k)
-    if k >= 1 and len(a) < n:
-        raise ValueError(f"sequence a needs {n} terms, got {len(a)}")
-    if r >= 1 and len(b) < n + 1:
-        raise ValueError(f"sequence b needs {n + 1} terms, got {len(b)}")
-    series = (Fraction(1),) + (Fraction(0),) * n
-    if k >= 1:
-        series = _pow_series(_egf_values(a[:n], n, 1), k)
-    if r >= 1:
-        series = series_mul(series, _pow_series(_egf_values(b[: n + 1], n + 1, 0), r))
-    return factorial(n) * series[n] / factorial(k)
+    return partial_r_bell_rows(r, n, a if k else [0] * n, b)[n][k]
 
 
 def partial_bell(n: int, k: int, a: Sequence) -> Fraction:
@@ -220,20 +218,14 @@ def partial_bell(n: int, k: int, a: Sequence) -> Fraction:
 
 def verify_rbell_connection(alpha, beta, r: int, nmax: int) -> bool:
     """Check that the triangle at (r*alpha, beta) equals the partial r-Bell
-    values at rising-factorial sequences, entry by entry up to nmax."""
+    triangle at rising-factorial sequences, up to nmax; ``r`` and ``nmax``
+    are checked by ``partial_r_bell_rows``."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
     a = [rising(-beta, j) for j in range(1, nmax + 1)]
     b = [rising(-alpha, j) for j in range(nmax + 1)]  # b_{j+1} = rising(-alpha, j)
-    table = triangle_rows(r * alpha, beta, nmax)
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            if partial_r_bell(r, n, k, a, b) != table[n][k]:
-                return False
-    return True
+    return partial_r_bell_rows(r, nmax, a, b) == triangle_rows(r * alpha, beta, nmax)
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,15 @@ def test_verify_real_zeros_bounds_secondary_degrees_by_nmax(capsys):
     assert out.splitlines()[0] == "PASS real-zeros alpha=8 beta=1 region=A-tilde degrees=2"
 
 
+def test_verify_rbell_at_large_r(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "rbell", "--r", "2000", "--alpha", "1", "--beta", "1",
+        "--nmax", "2",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "PASS rbell alpha=1 beta=1 r=2000 n<=2"
+
+
 def test_family_laguerre_rejects_a_negative_degree(capsys):
     code, out, err = run_cli(capsys, "family", "laguerre", "--n", "-1")
     assert code == 2 and out == ""

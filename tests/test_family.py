@@ -229,6 +229,11 @@ def test_bell_basis_forward_detects_a_wrong_member(monkeypatch):
     assert not verify_bell_basis_forward(params, 4)
 
 
+def test_lah_rebase_rejects_negative_nmax():
+    with pytest.raises(ValueError, match="nmax must be >= 0, got -1"):
+        lah_rebase_report(FamilyParams(1, 1), -1)
+
+
 def test_lah_rebase_detects_a_wrong_mirrored_member(monkeypatch):
     # the coefficients still match the signed Lah numbers; only the
     # reconstruction from the mirrored members can notice

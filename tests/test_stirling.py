@@ -312,6 +312,22 @@ def test_partial_r_bell_matches_recurrence_oracle():
                     assert type(value) is F and value == expected, (trial, r, n, k)
 
 
+def test_partial_r_bell_at_large_r():
+    # B**r is built by r products, not r nested calls
+    assert partial_r_bell(2000, 1, 1, [1], [1, 1]) == 1
+    assert partial_r_bell(2000, 1, 0, [1], [1, 1]) == 2000
+
+
+def test_partial_r_bell_rows_index_like_the_entries():
+    a = [F(j, 3) - 1 for j in range(1, 7)]
+    b = [F(2, j + 1) for j in range(7)]
+    rows = stirling.partial_r_bell_rows(2, 6, a, b)
+    assert [len(row) for row in rows] == list(range(1, 8))
+    for n in range(7):
+        for k in range(n + 1):
+            assert rows[n][k] == partial_r_bell(2, n, k, a, b)
+
+
 def test_partial_bell_rejects_short_sequences():
     with pytest.raises(ValueError):
         partial_bell(4, 2, [1, 2, 3])
@@ -334,6 +350,11 @@ def test_rbell_connection(alpha, beta, r, nmax):
 def test_rbell_connection_rejects_zero_beta():
     with pytest.raises(ValueError):
         verify_rbell_connection(1, 0, 1, 4)
+
+
+def test_rbell_connection_rejects_negative_nmax():
+    with pytest.raises(ValueError, match="nmax must be >= 0, got -1"):
+        verify_rbell_connection(1, 1, 0, -1)
 
 
 # ---------------------------------------------------------------------------
