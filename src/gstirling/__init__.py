@@ -56,6 +56,7 @@ from .stirling import (
     lah,
     partial_bell,
     partial_r_bell,
+    partial_r_bell_rows,
     rlah,
     stirling1,
     stirling2,

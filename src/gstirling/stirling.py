@@ -202,11 +202,9 @@ def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tup
 def partial_r_bell(r: int, n: int, k: int, a: Sequence, b: Sequence = ()) -> Fraction:
     """Partial r-Bell polynomial with full indices (n+r, k+r) at the given
     coefficient sequences: entry [n][k] of ``partial_r_bell_rows``, which
-    checks that ``a`` lists a_1..a_n (read only when k >= 1) and ``b`` lists
-    b_1..b_{n+1} (read only when r >= 1).
+    checks r >= 0 and that ``a`` lists a_1..a_n (read only when k >= 1) and
+    ``b`` lists b_1..b_{n+1} (read only when r >= 1).
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
     _check_indices(n, k)
     return partial_r_bell_rows(r, n, a if k else [0] * n, b)[n][k]
 
