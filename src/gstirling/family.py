@@ -290,7 +290,7 @@ def lah_rebase_report(params: FamilyParams, nmax: int) -> LahRebaseReport:
     constant_ok = True
     for n in range(nmax + 1):
         coeffs = rebase(params, mirrored, n)
-        unsigned = list(lah_rows[n])
+        unsigned = lah_rows[n]
         if coeffs != [c if k % 2 == 0 else -c for k, c in enumerate(unsigned)]:
             alternating_ok = False
         target = poly(params, n)

@@ -193,9 +193,11 @@ def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tup
     base = (Fraction(0),) + tuple(Fraction(a[j]) / factorial(j + 1) for j in range(nmax))
     head = (Fraction(1),) + (Fraction(0),) * nmax
     if r >= 1:
-        factor = tuple(Fraction(b[j]) / factorial(j) for j in range(nmax + 1))
-        for _ in range(r):
-            head = series_mul(head, factor)
+        head = factor = tuple(Fraction(b[j]) / factorial(j) for j in range(nmax + 1))
+        for bit in bin(r)[3:]:  # B**r by squaring, so the cost grows with log(r)
+            head = series_mul(head, head)
+            if bit == "1":
+                head = series_mul(head, factor)
     return egf_rows(head, base)
 
 
@@ -216,8 +218,7 @@ def partial_bell(n: int, k: int, a: Sequence) -> Fraction:
 
 def verify_rbell_connection(alpha, beta, r: int, nmax: int) -> bool:
     """Check that the triangle at (r*alpha, beta) equals the partial r-Bell
-    triangle at rising-factorial sequences, up to nmax; ``r`` and ``nmax``
-    are checked by ``partial_r_bell_rows``."""
+    triangle at rising-factorial sequences up to nmax (r, nmax checked there)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")

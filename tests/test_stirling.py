@@ -313,9 +313,13 @@ def test_partial_r_bell_matches_recurrence_oracle():
 
 
 def test_partial_r_bell_at_large_r():
-    # B**r is built by r products, not r nested calls
+    # B**r is built by products, not r nested calls
     assert partial_r_bell(2000, 1, 1, [1], [1, 1]) == 1
     assert partial_r_bell(2000, 1, 0, [1], [1, 1]) == 2000
+    # and by squaring: b = 1, 1, 1 makes B = 1 + t + t**2/2, whose r-th power
+    # has t**2 coefficient r**2 / 2
+    for r in (2, 3, 5, 6, 7, 2000, 10**9):
+        assert partial_r_bell(r, 2, 0, [1, 1], [1, 1, 1]) == r**2
 
 
 def test_partial_r_bell_rows_index_like_the_entries():
