@@ -218,7 +218,7 @@ def partial_bell(n: int, k: int, a: Sequence) -> Fraction:
 
 def verify_rbell_connection(alpha, beta, r: int, nmax: int) -> bool:
     """Check that the triangle at (r*alpha, beta) equals the partial r-Bell
-    triangle at rising-factorial sequences up to nmax (r, nmax checked there)."""
+    triangle at rising factorials up to nmax (``partial_r_bell_rows`` checks r, nmax)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
