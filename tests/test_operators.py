@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gstirling import stirling
 from gstirling.operators import (
     ExpMonomialSum,
     derivative,
@@ -161,6 +162,22 @@ def test_bell_operator_general_parameters(alpha, beta):
     for lam in (F(0), F(1), alpha / beta):
         for n in range(5):
             assert verify_bell_operator(alpha, beta, lam, n)
+
+
+def test_bell_operator_detects_a_wrong_stirling_number(monkeypatch):
+    # S2(3, 2) enters the left side at n = 3 and at no smaller n
+    right = stirling._stirling_rows
+
+    def wrong(kind, nmax):
+        rows = right(kind, nmax)
+        if kind != 2 or nmax < 3:
+            return rows
+        bumped = rows[3][:2] + (rows[3][2] + 1,) + rows[3][3:]
+        return rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(stirling, "_stirling_rows", wrong)
+    assert verify_bell_operator(F(1), F(2), F(1, 2), 2)
+    assert not verify_bell_operator(F(1), F(2), F(1, 2), 3)
 
 
 def test_bell_operator_rejects_zero_beta():

@@ -410,6 +410,24 @@ def test_composition_rising_half_detects_a_wrong_composed_entry(monkeypatch):
     assert (2, -1) not in report.failures and (4, -1) not in report.failures
 
 
+def test_composition_triangle_half_detects_a_wrong_target_entry(monkeypatch):
+    # entry (2, 1) of the (0, -2) triangle enters column 1 of every row n >= 2
+    # of the triangle identity; the rising identity does not read that triangle
+    right = stirling.triangle_rows
+
+    def wrong(alpha, beta, nmax):
+        rows = right(alpha, beta, nmax)
+        if (alpha, beta) != (F(0), F(-2)) or nmax < 2:
+            return rows
+        bumped = rows[2][:1] + (rows[2][1] + 1,) + rows[2][2:]
+        return rows[:2] + (bumped,) + rows[3:]
+
+    monkeypatch.setattr(stirling, "triangle_rows", wrong)
+    report = composition_report(F(1), F(-1), F(0), F(-2), 4)
+    assert not report.ok and not report.index_sign_ok
+    assert set(report.failures) == {(2, 1), (3, 1), (4, 1)}
+
+
 def test_composition_rejects_zero_beta2():
     with pytest.raises(ValueError):
         verify_composition(1, 1, 1, 0, 4)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling import family, suite
+from gstirling import family, stirling, suite
 
 F = Fraction
 
@@ -22,6 +22,23 @@ def test_rebase_roundtrip_detects_a_wrong_coefficient(monkeypatch):
     monkeypatch.setattr(family, "rebase", wrong)
     assert suite.rebase_roundtrip_ok(source, target, 1)
     assert not suite.rebase_roundtrip_ok(source, target, 3)
+
+
+def test_inverse_pair_detects_a_wrong_inverse_entry(monkeypatch):
+    # the inverse triangle of (1, -2) is read off the triangle at (1/2, -1/2);
+    # its entry (3, 1) enters row 3 of the inverse and no earlier row
+    right = stirling.triangle_rows
+
+    def wrong(alpha, beta, nmax):
+        rows = right(alpha, beta, nmax)
+        if (alpha, beta) != (F(1, 2), F(-1, 2)) or nmax < 3:
+            return rows
+        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
+        return rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(stirling, "triangle_rows", wrong)
+    assert suite.inverse_pair_ok(F(1), F(-2), 2)
+    assert not suite.inverse_pair_ok(F(1), F(-2), 4)
 
 
 @pytest.mark.parametrize(
