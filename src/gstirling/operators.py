@@ -13,8 +13,10 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping
 
+from .family import bell_poly
+from .qpoly import combine
 from .rationals import falling
-from .stirling import stirling2, triangle_rows
+from .stirling import triangle_rows
 
 
 class ExpMonomialSum:
@@ -215,11 +217,9 @@ def verify_bell_operator(alpha, beta, lam, n: int) -> bool:
         e = e.euler_shift(lam * beta - alpha).scale(inv_beta)
     rhs = e.xshift(-alpha)
 
-    lhs_terms = []
-    for i in range(n + 1):
-        c = Fraction(0)
-        for j in range(i, n + 1):
-            c += comb(n, j) * lam ** (n - j) * stirling2(j, i)
-        lhs_terms.append((beta * i, c))
-    lhs = ExpMonomialSum(beta, lhs_terms)
+    shifted_bell = combine(
+        [comb(n, j) * lam ** (n - j) for j in range(n + 1)],
+        [bell_poly(j) for j in range(n + 1)],
+    )
+    lhs = ExpMonomialSum(beta, ((beta * i, c) for i, c in enumerate(shifted_bell.coefficients)))
     return lhs == rhs

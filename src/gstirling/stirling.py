@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .qpoly import combine, linear_products
+from .qpoly import QPolynomial, combine, linear_products
 from .rationals import rising
 from .series import egf_rows, gf_rows, series_mul
 
@@ -274,38 +274,23 @@ def composition_report(alpha, beta, alpha2, beta2, nmax: int) -> CompositionRepo
 
     composed = triangle_rows(alpha - (alpha2 / beta2) * beta, beta / beta2, nmax)
     left = triangle_rows(alpha, beta, nmax)
-    right = triangle_rows(alpha2, beta2, nmax)
-
-    index_ok = True
-    outer_ok = True
-    failures: list[tuple[int, int]] = []
-
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            acc_signed = Fraction(0)
-            acc_plain = Fraction(0)
-            for j in range(k, n + 1):
-                term = composed[n][j] * right[j][k]
-                acc_plain += term
-                acc_signed += term if j % 2 == 0 else -term
-            if acc_signed != left[n][k]:
-                index_ok = False
-                failures.append((n, k))
-            outer = acc_plain if k % 2 == 0 else -acc_plain
-            if outer != left[n][k]:
-                outer_ok = False
-
+    rights = [QPolynomial(row) for row in triangle_rows(alpha2, beta2, nmax)]
     lhs_rising = linear_products((-alpha + i, -beta) for i in range(nmax))
     rising_targets = linear_products((-alpha2 + i, -beta2) for i in range(nmax))
-    for n in range(nmax + 1):
-        signed = [c if j % 2 == 0 else -c for j, c in enumerate(composed[n])]
-        if combine(signed, rising_targets) != lhs_rising[n]:
-            index_ok = False
-            failures.append((n, -1))
-        plain = combine(composed[n], rising_targets)
-        if (plain if n % 2 == 0 else -plain) != lhs_rising[n]:
-            outer_ok = False
 
+    outer_ok = True
+    failures: list[tuple[int, int]] = []
+    for n in range(nmax + 1):
+        plain = composed[n]
+        signed = [c if j % 2 == 0 else -c for j, c in enumerate(plain)]
+        index_sum, outer_sum = combine(signed, rights), combine(plain, rights)
+        failures += [(n, k) for k in range(n + 1) if index_sum.coeff(k) != left[n][k]]
+        outer_ok &= all((-1) ** k * outer_sum.coeff(k) == left[n][k] for k in range(n + 1))
+        if combine(signed, rising_targets) != lhs_rising[n]:
+            failures.append((n, -1))
+        outer_ok &= (-1) ** n * combine(plain, rising_targets) == lhs_rising[n]
+
+    index_ok = not failures
     return CompositionReport(
         ok=index_ok,
         index_sign_ok=index_ok,
