@@ -301,6 +301,16 @@ def test_verify_gf_derivative_order_below_the_default_m_range(capsys):
     assert "need 0 <= m <= order" in err
 
 
+def test_verify_gf_derivative_m_on_the_grid_names_that_m(capsys):
+    gf = ("verify", "--identity", "gf-derivative")
+    code, out, _ = run_cli(capsys, *gf, "--m", "3", "--nmax", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "PASS gf-derivative alpha=-2 beta=-3 m=3 order=4"
+    assert all(line.endswith(" m=3 order=4") for line in lines[:-1])
+    assert lines[-1] == f"# checks={len(suite.GRID)} failures=0"
+
+
 def test_verify_bell_operator_lambda_needs_a_pair(capsys):
     code, out, err = run_cli(capsys, "verify", "--identity", "bell-operator", "--lambda", "7")
     assert code == 2 and out == ""

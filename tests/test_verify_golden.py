@@ -71,7 +71,7 @@ WITH_OPTIONS = (
     ),
     (
         ("--identity", "gf-derivative", "--m", "1", "--nmax", "2"),
-        "035ebe24019e2de16c010b455134b01f332c3edda7699181ece788ce1ba7c5ac",
+        "708c391f945574c7c4ca885b01e2823d7b2e6b8fac524d877318425c21296eb7",
     ),
     (
         ("--identity", "bell-operator", "--lambda", "1/2", "--nmax", "3", *PAIR),
