@@ -369,6 +369,34 @@ def test_output_file_and_io_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--alpha", "1/3", "--beta", "-2", "--nmax", "4", "--format", "json"),
+        ("zeros", "--alpha", "-1/2", "--beta", "-1/2", "--nmax", "4", "--format", "csv"),
+        ("verify", "--identity", "first-values", "--alpha", "1", "--beta", "-1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_file_matches_stdout(tmp_path, capsys, argv):
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_output_file_is_not_created_when_the_command_fails(tmp_path, capsys):
+    target = tmp_path / "value.txt"
+    code, out, _ = run_cli(
+        capsys, "eval", "--alpha", "1/2", "--beta", "-1", "--n", "180", "--x", "3",
+        "--output", str(target),
+    )
+    assert code == 2 and out == ""
+    assert not target.exists()
+
+
 def test_single_identity_output_is_deterministic(capsys):
     _, first, _ = run_cli(
         capsys, "verify", "--identity", "first-values", "--alpha", "1", "--beta", "-2"
