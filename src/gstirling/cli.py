@@ -12,6 +12,8 @@ decimals are rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import re
 import sys
@@ -46,17 +48,20 @@ def _nonzero_beta(value: Fraction) -> Fraction:
     return value
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(payload, output: str | None) -> None:
+    """Write a dict as indented JSON, or an iterable of lines, to stdout or
+    to the ``--output`` file, which is opened only now that the result is
+    computed."""
     if output is None:
-        sys.stdout.write(text)
+        stream = contextlib.nullcontext(sys.stdout)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _coeff_list(p: QPolynomial) -> str:
-    coeffs = p.coefficients or (Fraction(0),)
-    return ", ".join(format_rational(c) for c in coeffs)
+        stream = open(output, "w", encoding="utf-8")
+    with stream as fh:
+        if isinstance(payload, dict):
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            fh.writelines(f"{line}\n" for line in payload)
 
 
 def _pretty_poly(p: QPolynomial) -> str:
@@ -86,20 +91,21 @@ def _pretty_poly(p: QPolynomial) -> str:
     return core if den == 1 else f"({core})/{den}"
 
 
-def _poly_output(p: QPolynomial, fmt: str, extra: dict, note: str | None = None) -> str:
+def _poly_output(p: QPolynomial, fmt: str, extra: dict, note: str | None = None) -> dict | list[str]:
+    coeffs = [format_rational(c) for c in (p.coefficients or (Fraction(0),))]
     if fmt == "json":
         payload = dict(extra)
-        payload["coefficients"] = [format_rational(c) for c in (p.coefficients or (Fraction(0),))]
+        payload["coefficients"] = coeffs
         payload["pretty"] = _pretty_poly(p)
         if note:
             payload["note"] = note
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [_coeff_list(p)]
+        return payload
+    lines = [", ".join(coeffs)]
     if fmt == "pretty":
         lines.append(f"pretty: {_pretty_poly(p)}")
         if note:
             lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def run_table(args) -> int:
@@ -111,20 +117,21 @@ def run_table(args) -> int:
             "beta": format_rational(table.beta),
             "rows": [[format_rational(v) for v in row] for row in table.rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["n,k,value"]
-        for n, row in enumerate(table.rows):
-            for k, v in enumerate(row):
-                lines.append(f"{n},{k},{format_rational(v)}")
-        text = "\n".join(lines) + "\n"
+        payload = itertools.chain(
+            ["n,k,value"],
+            (
+                f"{n},{k},{format_rational(v)}"
+                for n, row in enumerate(table.rows)
+                for k, v in enumerate(row)
+            ),
+        )
     else:
-        lines = [
+        payload = (
             f"n={n}: " + ", ".join(format_rational(v) for v in row)
             for n, row in enumerate(table.rows)
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+        )
+    _emit(payload, args.output)
     return EXIT_OK
 
 
@@ -164,14 +171,9 @@ def run_eval(args) -> int:
             "series": value,
             "exact": format_rational(exact),
         }
-        text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = (
-            f"series = {value!r}\n"
-            f"exact = {format_rational(exact)}\n"
-            f"epsilon = {args.epsilon}\n"
-        )
-    _emit(text, args.output)
+        payload = (f"series = {value!r}", f"exact = {format_rational(exact)}", f"epsilon = {args.epsilon}")
+    _emit(payload, args.output)
     return EXIT_OK
 
 
@@ -180,24 +182,22 @@ def run_zeros(args) -> int:
     params = family.FamilyParams(args.alpha, args.beta)
     report = zeros.region_report(params, args.nmax, args.max_width)
     if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        payload = report.to_json_dict()
     elif args.format == "csv":
-        lines = ["n,all_real,asserted,roots"]
+        payload = ["n,all_real,asserted,roots"]
         for row in report.results:
             intervals = ";".join(f"{lo}..{hi}" for lo, hi in row.roots)
-            lines.append(f"{row.n},{str(row.all_real).lower()},{str(row.asserted).lower()},{intervals}")
-        text = "\n".join(lines) + "\n"
+            payload.append(f"{row.n},{str(row.all_real).lower()},{str(row.asserted).lower()},{intervals}")
     else:
-        lines = [
+        payload = [
             f"alpha={format_rational(params.alpha)} beta={format_rational(params.beta)}"
             f" region={report.region}"
         ]
         for row in report.results:
             flag = "asserted" if row.asserted else "not asserted"
             intervals = ", ".join(f"[{lo}, {hi}]" for lo, hi in row.roots)
-            lines.append(f"n={row.n}: all_real={row.all_real} ({flag}) roots: {intervals}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+            payload.append(f"n={row.n}: all_real={row.all_real} ({flag}) roots: {intervals}")
+    _emit(payload, args.output)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -226,17 +226,8 @@ def run_family(args) -> int:
 
 
 def run_verify(args) -> int:
-    options = dict(
-        alpha=args.alpha,
-        beta=args.beta,
-        alpha2=args.alpha2,
-        beta2=args.beta2,
-        lam=args.lam,
-        r=args.r,
-        m=args.m,
-        nmax=args.nmax,
-        order=args.order,
-    )
+    names = ("alpha", "beta", "alpha2", "beta2", "lam", "r", "m", "nmax", "order")
+    options = {name: getattr(args, name) for name in names}
     if args.all:
         suite.given_options("--all", (), options)
         results, notes = suite.run_all()
@@ -246,7 +237,7 @@ def run_verify(args) -> int:
     lines = [res.line for res in results]
     lines.extend(notes)
     lines.append(f"# checks={len(results)} failures={failures}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(lines, args.output)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -257,57 +248,49 @@ def _add_output_options(parser, default_format: str) -> None:
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
-# argparse only treats "-1"-style tokens as values, not option names, when
-# they match its negative-number pattern; widen it so "-1/2" parses too
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
-
-
-def _allow_negative_rationals(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser._negative_number_matcher = _NEGATIVE_RATIONAL
-    return parser
+class _Parser(argparse.ArgumentParser):
+    # argparse only treats "-1"-style tokens as values, not option names, when
+    # they match its negative-number pattern; widen it so "-1/2" parses too.
+    # Subparsers are built with the parent's class, so they inherit this.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _allow_negative_rationals(
-        argparse.ArgumentParser(
-            prog="gstirling",
-            description="Exact computations in a two-parameter Stirling-type polynomial family.",
-        )
+    parser = _Parser(
+        prog="gstirling",
+        description="Exact computations in a two-parameter Stirling-type polynomial family.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--alpha", type=_rational, required=True)
+    pair.add_argument("--beta", type=_rational, required=True)
 
-    table = _allow_negative_rationals(sub.add_parser("table", help="emit the coefficient triangle"))
-    table.add_argument("--alpha", type=_rational, required=True)
-    table.add_argument("--beta", type=_rational, required=True)
+    table = sub.add_parser("table", parents=[pair], help="emit the coefficient triangle")
     table.add_argument("--nmax", type=int, default=10)
     _add_output_options(table, "csv")
     table.set_defaults(func=run_table)
 
-    polyp = _allow_negative_rationals(sub.add_parser("poly", help="emit one family member's coefficients"))
-    polyp.add_argument("--alpha", type=_rational, required=True)
-    polyp.add_argument("--beta", type=_rational, required=True)
+    polyp = sub.add_parser("poly", parents=[pair], help="emit one family member's coefficients")
     polyp.add_argument("--n", type=int, required=True)
     _add_output_options(polyp, "csv")
     polyp.set_defaults(func=run_poly)
 
-    evalp = _allow_negative_rationals(sub.add_parser("eval", help="evaluate by the summed series form"))
-    evalp.add_argument("--alpha", type=_rational, required=True)
-    evalp.add_argument("--beta", type=_rational, required=True)
+    evalp = sub.add_parser("eval", parents=[pair], help="evaluate by the summed series form")
     evalp.add_argument("--n", type=int, required=True)
     evalp.add_argument("--x", type=_rational, required=True)
     evalp.add_argument("--epsilon", default="1e-12")
     _add_output_options(evalp, "pretty")
     evalp.set_defaults(func=run_eval)
 
-    zerosp = _allow_negative_rationals(sub.add_parser("zeros", help="real-rootedness report with isolated roots"))
-    zerosp.add_argument("--alpha", type=_rational, required=True)
-    zerosp.add_argument("--beta", type=_rational, required=True)
+    zerosp = sub.add_parser("zeros", parents=[pair], help="real-rootedness report with isolated roots")
     zerosp.add_argument("--nmax", type=int, default=10)
     zerosp.add_argument("--max-width", type=_rational, default=Fraction(1, 64))
     _add_output_options(zerosp, "json")
     zerosp.set_defaults(func=run_zeros)
 
-    fam = _allow_negative_rationals(sub.add_parser("family", help="named specializations"))
+    fam = sub.add_parser("family", help="named specializations")
     fam.add_argument("name", choices=("U", "V", "laguerre", "assoc-lah"))
     fam.add_argument("--n", type=int, required=True)
     fam.add_argument("--lambda", dest="lam", type=_rational, default=Fraction(0))
@@ -315,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(fam, "csv")
     fam.set_defaults(func=run_family)
 
-    verify = _allow_negative_rationals(sub.add_parser("verify", help="check identities, printing PASS/FAIL lines"))
+    verify = sub.add_parser("verify", help="check identities, printing PASS/FAIL lines")
     which = verify.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true", help="run the built-in grid suite")
     which.add_argument(
