@@ -6,16 +6,17 @@ polynomial family in the monomial basis.  Around it sit its inverse
 triangle, the classical Stirling numbers of both kinds, Lah and r-Lah
 numbers, and partial (r-)Bell polynomials, each of which specializes or
 transports the central triangle.  ``partial_r_bell_rows`` reads whole
-partial r-Bell (so also Lah and r-Lah) triangles off the column extraction
-of the family triangle, ``series.egf_rows``, and the per-entry functions
-index into them; ``_TRIANGLES`` is the package's only cache.
+partial r-Bell triangles off the column extraction of the family triangle,
+``series.egf_rows``, and the per-entry partial (r-)Bell functions index
+into them; the Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is
+the package's only cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Sequence
 
 from .qpoly import QPolynomial, combine, linear_products
@@ -157,22 +158,24 @@ def stirling1(n: int, k: int) -> int:
 def rlah(r: int, n: int, k: int) -> Fraction:
     """r-Lah number with full indices (both arguments already include r).
 
-    The partial r-Bell value at a_j = j! and b_{j+1} = (j+1)!, whose series
-    are t/(1-t) and (1-t)**(-2): extraction from
-    (1/(k-r)!) * (t/(1-t))**(k-r) * (1-t)**(-2r).  The plain Lah numbers are
-    the r = 0 column of this family.
+    The closed form (n-r)!/(k-r)! * C(n+r-1, k+r-1) (Nyul and Racz, "The
+    r-Lah numbers", Discrete Math. 338, 2015); k = 0 forces r = 0, where only
+    the empty arrangement counts.  It equals the partial r-Bell value at
+    a_j = j! and b_{j+1} = (j+1)!.  The plain Lah numbers are the r = 0
+    column of this family.
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     _check_indices(n, k)
     if k < r:
         raise ValueError(f"need k >= r, got k={k}, r={r}")
-    factorials = [factorial(j) for j in range(1, n - r + 2)]
-    return partial_r_bell(r, n - r, k - r, factorials, factorials)
+    if k == 0:
+        return Fraction(int(n == 0))
+    return Fraction(perm(n - r, n - k) * comb(n + r - 1, k + r - 1))
 
 
 def lah(n: int, k: int) -> Fraction:
-    """Lah number L(n, k), via its exponential generating function."""
+    """Lah number L(n, k) = n!/k! * C(n-1, k-1)."""
     return rlah(0, n, k)
 
 

@@ -241,6 +241,15 @@ def test_rlah_matches_reciprocal_laguerre_table():
             assert table.value(n, k) == rlah(1, n + 1, k + 1)
 
 
+def test_rlah_closed_form_matches_the_column_extraction():
+    # the r-Lah numbers are the partial r-Bell values at a_j = b_j = j!
+    factorials = [factorial(j) for j in range(1, 14)]
+    for r in range(5):
+        rows = stirling.partial_r_bell_rows(r, 12, factorials, factorials)
+        for n, row in enumerate(rows):
+            assert list(row) == [rlah(r, n + r, k + r) for k in range(n + 1)]
+
+
 def test_rlah_validation():
     with pytest.raises(ValueError):
         rlah(2, 3, 1)  # k < r
