@@ -131,7 +131,9 @@ def test_single_pair_output(capsys, name):
     assert _sha(out) == PAIR_NMAX3[name]
 
 
-@pytest.mark.parametrize("argv, digest", WITH_OPTIONS)
+@pytest.mark.parametrize(
+    "argv, digest", WITH_OPTIONS, ids=[" ".join(argv[1:]) for argv, _ in WITH_OPTIONS]
+)
 def test_option_output(capsys, argv, digest):
     assert _sha(_verify(capsys, *argv)) == digest
 
