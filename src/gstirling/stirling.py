@@ -171,6 +171,7 @@ def rlah(r: int, n: int, k: int) -> Fraction:
         raise ValueError(f"need k >= r, got k={k}, r={r}")
     if k == 0:
         return Fraction(int(n == 0))
+    # perm(n - r, n - k) is (n-r)!/(k-r)!
     return Fraction(perm(n - r, n - k) * comb(n + r - 1, k + r - 1))
 
 
