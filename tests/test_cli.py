@@ -162,6 +162,15 @@ def test_zeros_not_asserted_outside_regions(capsys):
     assert all(row["asserted"] is False for row in payload["results"])
 
 
+@pytest.mark.parametrize("width", ["0", "-1/64"])
+def test_zeros_rejects_nonpositive_width(capsys, width):
+    code, out, err = run_cli(
+        capsys, "zeros", "--alpha", "-1", "--beta", "-1", "--nmax", "3", "--max-width", width
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: max_width must be > 0")
+
+
 def test_decimals_rejected(capsys):
     code, _, _ = run_cli(capsys, "table", "--alpha", "0.5", "--beta", "1", "--nmax", "2")
     assert code == 2

@@ -85,6 +85,9 @@ def _check_chain(p):
 def test_all_roots_real_examples():
     assert all_roots_real(_from_roots([1, 1, -2]))  # (x-1)^2 (x+2)
     assert not all_roots_real(QPolynomial((1, 0, 1)))
+    assert not all_roots_real(_from_roots([3], [(1, 0, 1), (1, 0, 1)]))  # (x^2+1)^2 (x-3)
+    assert not all_roots_real(_from_roots([0, 0, 0], [(2, 0, 1)]))  # x^3 (x^2+2)
+    assert all_roots_real(_from_roots([1, 1, 1, -2, -2]))  # (x-1)^3 (x+2)^2
     with pytest.raises(ValueError):
         all_roots_real(QPolynomial.one())
 
@@ -215,6 +218,16 @@ def test_region_report_main_region_with_roots():
     assert payload["region"] == "A"
     assert payload["results"][0]["n"] == 1
     assert isinstance(payload["results"][0]["roots"][0][0], str)
+
+
+@pytest.mark.parametrize("params", [FamilyParams(0, 3), FamilyParams(F(3, 2), F(-3, 4))])
+def test_region_report_rows_match_the_public_checks(params):
+    # (0, 3) has a repeated root at 0, (3/2, -3/4) has non-real members
+    width = F(1, 64)
+    for row in region_report(params, 7, width).results:
+        p = poly(params, row.n)
+        assert row.all_real == all_roots_real(p)
+        assert row.roots == tuple(isolate_roots(square_free_part(p), width))
 
 
 def test_region_report_boundary_pair():

@@ -47,7 +47,7 @@ RUNS = (
 )
 
 
-@pytest.mark.parametrize("argv, digest", RUNS)
+@pytest.mark.parametrize("argv, digest", RUNS, ids=[" ".join(argv) for argv, _ in RUNS])
 def test_zeros_output(capsys, argv, digest):
     code = cli.main(["zeros", *argv])
     out = capsys.readouterr().out

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from gstirling.qpoly import QPolynomial, poly_gcd
-from gstirling.zeros import count_real_roots, isolate_roots, square_free_part
+from gstirling.zeros import (
+    all_roots_real,
+    count_real_roots,
+    isolate_roots,
+    square_free_part,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -52,3 +57,24 @@ def test_repeated_factor_gcd_and_distinct_count(cofactor, base, power):
     assert poly_gcd(p, dp) == _euclid_gcd(p, dp)
     assert poly_gcd(p, QPolynomial(cofactor)) == _euclid_gcd(p, QPolynomial(cofactor))
     assert count_real_roots(p) == count_real_roots(square_free_part(p))
+
+
+LINEAR = st.tuples(st.fractions(-5, 5, max_denominator=6), st.integers(1, 3))
+QUADRATIC = st.tuples(st.integers(-4, 4), st.integers(1, 9), st.integers(1, 2)).filter(
+    lambda t: t[0] * t[0] < 4 * t[1]
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.lists(LINEAR, max_size=3), st.lists(QUADRATIC, max_size=2))
+def test_all_roots_real_on_products_of_known_factors(linears, quadratics):
+    # (x - r)**m real-rooted, (x**2 + b*x + c)**k with b**2 < 4c not
+    hypothesis.assume(linears or quadratics)
+    p = QPolynomial.one()
+    for r, m in linears:
+        for _ in range(m):
+            p = p * QPolynomial((-r, 1))
+    for b, c, k in quadratics:
+        for _ in range(k):
+            p = p * QPolynomial((c, b, 1))
+    assert all_roots_real(p) == (not quadratics)
