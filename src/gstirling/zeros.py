@@ -3,9 +3,11 @@
 Root counts come from sign-variation differences along the signed
 remainder chain of p and p', built once over the integers by
 ``qpoly.remainder_sequence``.  Its last member is gcd(p, p'), so one chain
-gives both the distinct-root count and the repeated part; multiplicities
-are handled by recursing on that gcd, and root isolation bisects [-B, B],
-B = 1 + max|c_i/c_n| the Cauchy bound, on exact counts.  Every sign is
+gives the distinct-root count, the square-free part p / gcd(p, p') and
+the real-rootedness verdict: p is real-rooted exactly when it has
+deg p - deg gcd(p, p') distinct real roots.  Root isolation bisects
+[-B, B] on exact counts, where B = 1 + max|c_i/c_n| is the Cauchy bound
+read off the chain's first member, p as integers.  Every sign is
 read from integer arithmetic: the chain keeps each member as primitive
 integer coefficients, and the sign of q(n/d) with d > 0 is the sign of
 the integer sum of c_i * n**i * d**(deg - i).  Bisection
@@ -81,10 +83,6 @@ def _signs_at(chain: SturmChain, num: int, den: int) -> list[int]:
     return signs
 
 
-def _variations_at(chain: SturmChain, x: Fraction) -> int:
-    return _variations(_signs_at(chain, x.numerator, x.denominator))
-
-
 def _variations_at_infinity(chain: SturmChain, positive: bool) -> int:
     signs = []
     for q in chain.ints:
@@ -95,24 +93,14 @@ def _variations_at_infinity(chain: SturmChain, positive: bool) -> int:
     return _variations(signs)
 
 
-def _repeated_part(chain: SturmChain) -> QPolynomial:
-    """Monic gcd(p, p'), read from the last member of p's chain."""
-    last = chain.ints[-1]
-    return QPolynomial(Fraction(c, last[-1]) for c in last)
-
-
-def _split_repeated(p: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
-    """(g, q) with g = gcd(p, p') and q = p / g, which has p's distinct
-    roots, all simple."""
-    g = _repeated_part(sturm_chain(p))
-    return g, (p if g.degree <= 0 else poly_divexact(p, g))
-
-
 def square_free_part(p: QPolynomial) -> QPolynomial:
     """p divided by gcd(p, p'): same distinct roots, all simple."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no square-free part")
-    return _split_repeated(p)[1]
+    last = sturm_chain(p).ints[-1]
+    if len(last) == 1:
+        return p
+    return poly_divexact(p, QPolynomial(Fraction(c, last[-1]) for c in last))
 
 
 def _count_distinct(chain: SturmChain) -> int:
@@ -122,11 +110,6 @@ def _count_distinct(chain: SturmChain) -> int:
     return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
 
 
-def _count_halfopen(chain: SturmChain, a: Fraction, b: Fraction) -> int:
-    """Distinct roots in the half-open interval (a, b] for a square-free chain."""
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
 def count_real_roots(p: QPolynomial) -> int:
     """Number of distinct real roots, from variations at minus/plus infinity."""
     if p.is_zero:
@@ -134,28 +117,17 @@ def count_real_roots(p: QPolynomial) -> int:
     return _count_distinct(sturm_chain(p))
 
 
-def _real_rooted(p: QPolynomial, distinct: int, g: QPolynomial) -> bool:
-    """All roots of p real, given g = gcd(p, p') and p's distinct real roots."""
-    return distinct == p.degree - g.degree and (g.degree < 1 or all_roots_real(g))
-
-
 def all_roots_real(p: QPolynomial) -> bool:
     """True iff the total multiplicity of real roots equals the degree.
 
-    The square-free part must have as many distinct real roots as its
-    degree, and the repeated part (the gcd with the derivative) must
-    itself be real-rooted, recursively.
+    p has deg p - deg gcd(p, p') distinct roots, so all of them are real
+    exactly when the chain counts that many distinct real roots; every
+    root of gcd(p, p') is one of them.
     """
     if p.degree < 1:
         raise ValueError("real-rootedness is only defined for degree >= 1")
     chain = sturm_chain(p)
-    return _real_rooted(p, _count_distinct(chain), _repeated_part(chain))
-
-
-def _cauchy_bound(p: QPolynomial) -> Fraction:
-    lead = abs(p.lead)
-    longest = max((abs(c) for c in p.coefficients[:-1]), default=Fraction(0))
-    return 1 + longest / lead
+    return _count_distinct(chain) == p.degree - (len(chain.ints[-1]) - 1)
 
 
 def isolate_roots(
@@ -224,7 +196,9 @@ def isolate_roots(
         split(lo, mid, den, v_lo, s_mid, left)
         split(mid, hi, den, v_mid, s_hi, count - left)
 
-    bound = _cauchy_bound(p)
+    # the Cauchy bound; scaling p to integers leaves every |c_i/c_n| alone
+    lead = abs(chain.ints[0][-1])
+    bound = Fraction(lead + max(abs(c) for c in chain.ints[0][:-1]), lead)
     num, den = bound.numerator, bound.denominator
     v_lo, _ = probe(-num, den)
     v_hi, s_hi = probe(num, den)
@@ -239,7 +213,9 @@ def count_roots_between(p: QPolynomial, a: Fraction, b: Fraction) -> int:
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    return _count_halfopen(sturm_chain(square_free_part(p)), a, b)
+    chain = sturm_chain(square_free_part(p))
+    v_a, v_b = (_variations(_signs_at(chain, x.numerator, x.denominator)) for x in (a, b))
+    return v_a - v_b
 
 
 def classify_region(alpha, beta) -> str:
@@ -284,7 +260,6 @@ class RegionReport:
     """
 
     params: FamilyParams
-    n_checked: int
     region: str
     results: tuple[RegionRow, ...]
 
@@ -322,20 +297,18 @@ def region_report(
     asserted = asserted_degrees(params.alpha, params.beta, nmax)
     rows = []
     for n in range(1, nmax + 1):
-        p = poly(params, n)
-        g, q = _split_repeated(p)
-        # one interval per distinct real root of q, which are p's: the
-        # isolation's count is the chain's count at -/+ infinity
+        # q has p's roots, all simple: one interval per distinct real root
+        q = square_free_part(poly(params, n))
         roots = tuple(isolate_roots(q, max_width))
         rows.append(
             RegionRow(
                 n=n,
-                all_real=_real_rooted(p, len(roots), g),
+                all_real=len(roots) == q.degree,
                 asserted=n in asserted,
                 roots=roots,
             )
         )
-    return RegionReport(params=params, n_checked=nmax, region=region, results=tuple(rows))
+    return RegionReport(params=params, region=region, results=tuple(rows))
 
 
 def check_newton_logconcave(params: FamilyParams, n: int) -> bool:
