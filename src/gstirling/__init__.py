@@ -65,7 +65,6 @@ from .stirling import (
 )
 from .zeros import (
     RegionReport,
-    SturmChain,
     all_roots_real,
     check_newton_logconcave,
     classify_region,

@@ -2,19 +2,21 @@
 
 Root counts come from sign-variation differences along the signed
 remainder chain of p and p', built once over the integers by
-``qpoly.remainder_sequence``.  Its last member is gcd(p, p'), so one chain
-gives the distinct-root count, the square-free part p / gcd(p, p') and
-the real-rootedness verdict: p is real-rooted exactly when it has
-deg p - deg gcd(p, p') distinct real roots.  Root isolation bisects
-[-B, B] on exact counts, where B = 1 + max|c_i/c_n| is the Cauchy bound
-read off the chain's first member, p as integers.  Every sign is
-read from integer arithmetic: the chain keeps each member as primitive
-integer coefficients, and the sign of q(n/d) with d > 0 is the sign of
-the integer sum of c_i * n**i * d**(deg - i).  Bisection
-points are integer numerators over one shared denominator, so no Fraction
-is built until an interval is reported, and the intervals are exactly
-those of a bisection on rational values.  An interval either provably
-contains one root or provably does not.
+``qpoly.remainder_sequence`` as a tuple of integer members.  Its last
+member is gcd(p, p'), so one chain gives the distinct-root count, the
+square-free part p / gcd(p, p') and the real-rootedness verdict: p is
+real-rooted exactly when it has deg p - deg gcd(p, p') distinct real
+roots.  Root isolation bisects [-B, B] on exact counts, where
+B = 1 + max|c_i/c_n| is the Cauchy bound read off the chain's first
+member, p as integers; once a root is alone in its interval, bisection
+follows the sign of p only.  Every sign is read from one integer kernel,
+``_sign_at``: the sign of q(n/d) with d > 0 is the sign of the integer
+sum of c_i * n**i * d**(deg - i), and at (+-1, 0) the same sum is q's
+leading term, whose sign is q's at +-infinity.  Bisection points are
+integer numerators over one shared denominator, so no Fraction is built
+until an interval is reported, and the intervals are exactly those of a
+bisection on rational values.  An interval either provably contains one
+root or provably does not.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .family import FamilyParams, poly
 from .qpoly import QPolynomial, poly_divexact, remainder_sequence
@@ -33,81 +34,56 @@ REGION_SECONDARY = "A-tilde"
 REGION_NONE = "neither"
 
 
-@dataclass(frozen=True)
-class SturmChain:
-    """The signed remainder sequence of p and p': p, p', then each
-    member the negated remainder of the two before it, down to the last
-    nonzero one, which is gcd(p, p') up to a constant factor (a constant
-    for square-free p).
+def sturm_chain(p: QPolynomial) -> tuple[tuple[int, ...], ...]:
+    """The signed remainder sequence of p and p' as a tuple of integer
+    members: p, p', then each member the negated remainder of the two
+    before it, down to the last nonzero one, which is gcd(p, p') up to a
+    constant factor (a constant for square-free p).
 
-    ``ints[i]`` is member i scaled by a positive rational to coprime
-    integer coefficients, low degree first; it has the member's signs.
+    Member i is scaled by a positive rational to coprime integer
+    coefficients, low degree first, so it has the signs of the rational one.
     """
-
-    ints: tuple[tuple[int, ...], ...]
-
-
-def sturm_chain(p: QPolynomial) -> SturmChain:
     if p.is_zero:
         raise ValueError("no remainder chain for the zero polynomial")
-    return SturmChain(remainder_sequence(p, p.derivative()))
+    return remainder_sequence(p, p.derivative())
 
 
-def _variations(signs: Iterable[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
+def _sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """Sign of the sum of c_i * num**i * den**(deg - i), for den >= 0.
 
-
-def _signs_at(chain: SturmChain, num: int, den: int) -> list[int]:
-    """Sign of each chain member at num/den, for den > 0.
-
-    Homogenised Horner over the integer chain: q(num/den) * den**deg q is
-    an integer with the sign of q(num/den).
+    For den > 0 it is the sign of q(num/den); at (+-1, 0) only the leading
+    term is left, whose sign is that of q at +-infinity.
     """
-    powers = [1]
-    for _ in range(len(chain.ints[0]) - 1):
-        powers.append(powers[-1] * den)
-    signs = []
-    for coeffs in chain.ints:
-        acc = 0
-        for c, scale in zip(reversed(coeffs), powers):
-            acc = acc * num + c * scale
-        signs.append((acc > 0) - (acc < 0))
-    return signs
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
-def _variations_at_infinity(chain: SturmChain, positive: bool) -> int:
-    signs = []
-    for q in chain.ints:
-        s = 1 if q[-1] > 0 else -1
-        if not positive and len(q) % 2 == 0:  # odd degree
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+def _chain_signs(chain: tuple[tuple[int, ...], ...], num: int, den: int) -> tuple[int, int]:
+    """(Sign changes along the chain, sign of p) at the point ``_sign_at``
+    reads; members that vanish there are skipped."""
+    signs = [_sign_at(q, num, den) for q in chain]
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
 
 
 def square_free_part(p: QPolynomial) -> QPolynomial:
     """p divided by gcd(p, p'): same distinct roots, all simple."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no square-free part")
-    last = sturm_chain(p).ints[-1]
+    last = sturm_chain(p)[-1]
     if len(last) == 1:
         return p
     return poly_divexact(p, QPolynomial(Fraction(c, last[-1]) for c in last))
 
 
-def _count_distinct(chain: SturmChain) -> int:
+def _count_distinct(chain: tuple[tuple[int, ...], ...]) -> int:
     """Distinct real roots of p.  Square-freeness is not needed: dividing
     every member by gcd(p, p') leaves the sign variations at -/+ infinity
     unchanged."""
-    return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
+    return _chain_signs(chain, -1, 0)[0] - _chain_signs(chain, 1, 0)[0]
 
 
 def count_real_roots(p: QPolynomial) -> int:
@@ -127,7 +103,7 @@ def all_roots_real(p: QPolynomial) -> bool:
     if p.degree < 1:
         raise ValueError("real-rootedness is only defined for degree >= 1")
     chain = sturm_chain(p)
-    return _count_distinct(chain) == p.degree - (len(chain.ints[-1]) - 1)
+    return _count_distinct(chain) == p.degree - (len(chain[-1]) - 1)
 
 
 def isolate_roots(
@@ -143,7 +119,7 @@ def isolate_roots(
         raise ValueError("cannot isolate roots of the zero polynomial")
     # the chain ends in gcd(p, p') up to a constant factor
     chain = sturm_chain(p)
-    if len(chain.ints[-1]) > 1:
+    if len(chain[-1]) > 1:
         raise ValueError("root isolation requires square-free input")
     max_width = Fraction(max_width)
     if max_width <= 0:
@@ -157,15 +133,13 @@ def isolate_roots(
     width_num, width_den = max_width.numerator, max_width.denominator
     found: list[tuple[Fraction, Fraction]] = []
 
-    def probe(num: int, den: int) -> tuple[int, int]:
-        signs = _signs_at(chain, num, den)
-        return _variations(signs), signs[0]
-
-    def refine(lo: int, hi: int, den: int, v_lo: int, s_hi: int) -> None:
+    def refine(lo: int, hi: int, den: int, s_hi: int) -> None:
         # exactly one root in (lo, hi]; shrink until the closed interval
         # is narrow, starts strictly after the original left endpoint, and
         # has no root at either endpoint.  Every point moved to is a mid
         # with p(mid) != 0, so only the original hi needs a zero test.
+        # p changes sign only at the simple root, so the root lies in
+        # (mid, hi] exactly when p(mid) and p(hi) differ in sign.
         if s_hi == 0:
             found.append((Fraction(hi, den), Fraction(hi, den)))
             return
@@ -173,35 +147,35 @@ def isolate_roots(
         while not (moved and (hi - lo) * width_den <= width_num * den):
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
             mid = (lo + hi) // 2
-            v_mid, s_mid = probe(mid, den)
+            s_mid = _sign_at(chain[0], mid, den)
             if s_mid == 0:
                 found.append((Fraction(mid, den), Fraction(mid, den)))
                 return
-            if v_lo - v_mid == 1:
+            if s_mid == s_hi:
                 hi = mid
             else:
-                lo, v_lo, moved = mid, v_mid, True
+                lo, moved = mid, True
         found.append((Fraction(lo, den), Fraction(hi, den)))
 
     def split(lo: int, hi: int, den: int, v_lo: int, s_hi: int, count: int) -> None:
         if count == 0:
             return
         if count == 1:
-            refine(lo, hi, den, v_lo, s_hi)
+            refine(lo, hi, den, s_hi)
             return
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         mid = (lo + hi) // 2
-        v_mid, s_mid = probe(mid, den)
+        v_mid, s_mid = _chain_signs(chain, mid, den)
         left = v_lo - v_mid
         split(lo, mid, den, v_lo, s_mid, left)
         split(mid, hi, den, v_mid, s_hi, count - left)
 
     # the Cauchy bound; scaling p to integers leaves every |c_i/c_n| alone
-    lead = abs(chain.ints[0][-1])
-    bound = Fraction(lead + max(abs(c) for c in chain.ints[0][:-1]), lead)
+    lead = abs(chain[0][-1])
+    bound = Fraction(lead + max(abs(c) for c in chain[0][:-1]), lead)
     num, den = bound.numerator, bound.denominator
-    v_lo, _ = probe(-num, den)
-    v_hi, s_hi = probe(num, den)
+    v_lo, _ = _chain_signs(chain, -num, den)
+    v_hi, s_hi = _chain_signs(chain, num, den)
     split(-num, num, den, v_lo, s_hi, v_lo - v_hi)
     return found
 
@@ -214,7 +188,7 @@ def count_roots_between(p: QPolynomial, a: Fraction, b: Fraction) -> int:
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     chain = sturm_chain(square_free_part(p))
-    v_a, v_b = (_variations(_signs_at(chain, x.numerator, x.denominator)) for x in (a, b))
+    v_a, v_b = (_chain_signs(chain, x.numerator, x.denominator)[0] for x in (a, b))
     return v_a - v_b
 
 

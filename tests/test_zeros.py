@@ -62,7 +62,7 @@ def test_sturm_chain_shape():
 
 
 def _check_chain(p):
-    ints = sturm_chain(p).ints
+    ints = sturm_chain(p)
     chain = [QPolynomial(c) for c in ints]
     for c in ints:
         assert math.gcd(*c) == 1  # coprime integer coefficients
@@ -131,6 +131,18 @@ def test_isolate_roots_exact_rational_root():
         assert hi - lo <= F(1, 64)
     assert any(lo <= 0 <= hi for lo, hi in intervals)
     assert any(lo <= -2 <= hi for lo, hi in intervals)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        # root 0 is met at a split midpoint, root 1 at a refinement midpoint
+        ((0, -1, 1), [(0, 0), (1, 1)]),
+        ((3, -4, 1), [(F(255, 256), F(515, 512)), (F(1535, 512), F(385, 128))]),
+    ],
+)
+def test_isolate_roots_exact_intervals(coeffs, expected):
+    assert isolate_roots(QPolynomial(coeffs)) == expected
 
 
 def test_isolate_roots_rejects_repeated_roots():

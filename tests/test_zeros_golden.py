@@ -5,8 +5,10 @@ benchmark asks for (1/64 and 2^-20), all three output formats, the main
 and secondary real-rootedness regions, two pairs outside both (one with
 non-real-rooted members, one with a repeated root at 0) and the boundary
 pair (1, -1), whose members have exact rational roots printed as [r, r].
-The last run reaches degree 20 of the (-1/2, -1/2) family in the default
-pretty format, where the remainder chains are longest.
+Two 2^-20 runs go past degree 7, to degree 16 in region A and degree 12
+of a pair outside both regions, so the fine refinement runs on longer
+chains.  The last run reaches degree 20 of the (-1/2, -1/2) family in the
+default pretty format, where the remainder chains are longest.
 """
 
 import hashlib
@@ -39,6 +41,14 @@ RUNS = (
     (
         ("--alpha", "3/2", "--beta", "-3/4", "--nmax", "7", "--max-width", "1/64", "--format", "csv"),
         "32541f74b818cf057fa3f7068d14bfb8c227693c02fe2977efc63f0980db4181",
+    ),
+    (
+        ("--alpha", "-1", "--beta", "-1", "--nmax", "16", "--max-width", "1/1048576", "--format", "csv"),
+        "b69dc5e3f66504dc79d68f287738fd58c0ccf19a7df5be98e981bc98df41ae27",
+    ),
+    (
+        ("--alpha", "3/2", "--beta", "-3/4", "--nmax", "12", "--max-width", "1/1048576", "--format", "json"),
+        "cff7949931a5d7a77ea765c68aa2f7771a555e4c4779c061d62e3f8efd32c086",
     ),
     (
         ("--alpha", "-1/2", "--beta", "-1/2", "--nmax", "20"),
