@@ -112,11 +112,24 @@ def run_table(args) -> int:
     _nonzero_beta(args.beta)
     table = gstirling_table(args.alpha, args.beta, args.nmax)
     if args.format == "json":
-        payload = {
-            "alpha": format_rational(table.alpha),
-            "beta": format_rational(table.beta),
-            "rows": [[format_rational(v) for v in row] for row in table.rows],
-        }
+        # the lines json.dump(..., indent=2) writes for {"alpha", "beta",
+        # "rows"}, one row at a time so the formatted table is never held
+        # whole; wire-form rationals need no JSON escaping
+        payload = itertools.chain(
+            [
+                "{",
+                f'  "alpha": "{format_rational(table.alpha)}",',
+                f'  "beta": "{format_rational(table.beta)}",',
+                '  "rows": [',
+            ],
+            (
+                "    [\n"
+                + ",\n".join(f'      "{format_rational(v)}"' for v in row)
+                + ("\n    ]," if n < table.nmax else "\n    ]")
+                for n, row in enumerate(table.rows)
+            ),
+            ["  ]", "}"],
+        )
     elif args.format == "csv":
         payload = itertools.chain(
             ["n,k,value"],

@@ -69,10 +69,15 @@ def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float:
 
     exp(-x) * sum_{k>=0} rising(-alpha - beta*k, n) * x**k / k!.
 
-    Terms are exact rationals; the sum stops once a majorant of the tail
-    drops below epsilon, so the result is within epsilon (plus float
-    rounding) of the exact polynomial value.  Negative x is allowed;
-    there the majorant uses absolute values and converges more slowly.
+    The sum is exact; it stops once a majorant of the tail drops below
+    epsilon, so the result is within epsilon (plus float rounding) of the
+    exact polynomial value.  Negative x is allowed; there the majorant
+    uses absolute values and converges more slowly.
+
+    With d the common denominator of alpha and beta, a = alpha*d, b = beta*d
+    and x = p/q, the partial sum up to k is N / D with D = d**n * q**k * k!
+    and N an integer: term k adds prod_{i<n} (-a - b*k + i*d) * p**k to N,
+    and the majorant test compares integers over the same D.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -80,33 +85,38 @@ def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float:
     if eps <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     x = Fraction(x)
-    a, b = params.alpha, params.beta
+    alpha, beta = params.alpha, params.beta
     if x == 0:
-        return float(rising(-a, n))
+        return float(rising(-alpha, n))
 
-    ax = abs(x)
     # Tail budget for the pre-factor exp(-x): at most 1 for x >= 0, and
     # exp(-x) <= 4**(-x) gives a rational bound for x < 0.
     budget = eps if x > 0 else eps * Fraction(1, 4) ** (-math.floor(x))
     # Beyond start, the term majorant g(k) * |x|**k / k! at least halves
     # each step: (1 + 1/k)**n <= 2 once k >= 2n, and |x|/(k+1) <= 1/4.
-    start = max(2 * n, math.ceil(4 * ax), 1)
-    bound_base = abs(a) + n
+    start = max(2 * n, math.ceil(4 * abs(x)), 1)
+    d = math.lcm(alpha.denominator, beta.denominator)
+    a, b = int(alpha * d), int(beta * d)
+    p, q = x.numerator, x.denominator
+    # d * (|alpha| + n + |beta|*k) is bound_base + |b|*k, so its n-th power
+    # is d**n * g(k), the numerator of the majorant over den
+    bound_base = abs(a) + n * d
 
-    total = Fraction(0)
-    power = Fraction(1)
-    kfact = 1
+    num, den = 0, d**n
+    power = 1
     k = 0
     while True:
-        total += rising(-a - b * k, n) * power / kfact
+        first = -a - b * k
+        num += math.prod(range(first, first + n * d, d)) * power
         if k >= start:
-            majorant = (bound_base + abs(b) * k) ** n * abs(power) / kfact
-            if majorant < budget:
+            majorant = (bound_base + abs(b) * k) ** n * abs(power)
+            if majorant * budget.denominator < budget.numerator * den:
                 break
         k += 1
-        power *= x
-        kfact *= k
-    return math.exp(-float(x)) * float(total)
+        power *= p
+        num *= q * k
+        den *= q * k
+    return math.exp(-float(x)) * float(Fraction(num, den))
 
 
 def to_bell_basis(params: FamilyParams, n: int) -> list[Fraction]:

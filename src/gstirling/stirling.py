@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from typing import Sequence
 
 from .qpoly import QPolynomial, combine, linear_products
@@ -56,12 +56,22 @@ def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fra
     S(m+1, j) = (m - alpha - beta*j) * S(m, j) - beta * S(m, j-1),
     seeded with S(0, 0) = 1 and zero outside 0 <= j <= m.  One triangle is
     kept per (alpha, beta) and grown when a larger nmax is asked for.
+
+    The step runs on integers: with d the common denominator of alpha and
+    beta, a = alpha*d and b = beta*d, T(m, j) = d**m * S(m, j) is an integer
+    and T(m+1, j) = (m*d - a - b*j) * T(m, j) - b * T(m, j-1), so each entry
+    is reduced to lowest terms once, when it is stored.
     """
 
     def step(m, row):
-        padded = (0,) + row + (0,)
+        d = lcm(alpha.denominator, beta.denominator)
+        a, b = int(alpha * d), int(beta * d)
+        scale = d**m
+        padded = (0,) + tuple(v.numerator * (scale // v.denominator) for v in row) + (0,)
+        scale *= d
         return tuple(
-            (m - alpha - beta * j) * padded[j + 1] - beta * padded[j] for j in range(m + 2)
+            Fraction((m * d - a - b * j) * padded[j + 1] - b * padded[j], scale)
+            for j in range(m + 2)
         )
 
     return _grown_rows((alpha, beta), nmax, (Fraction(1),), step)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gstirling import cli, suite
-from gstirling.rationals import parse_rational
+from gstirling.rationals import format_rational, parse_rational
+from gstirling.stirling import gstirling_table
 
 F = Fraction
 
@@ -43,6 +44,23 @@ def test_table_json_schema_and_parseback(capsys):
     for row in payload["rows"]:
         for token in row:
             parse_rational(token)  # every value is wire-exact
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 12, 40])
+def test_table_json_streams_the_bytes_of_json_dump(capsys, nmax):
+    # the table is written row by row; its bytes are those of json.dump
+    # over the whole payload, the form it was written in before
+    code, out, _ = run_cli(
+        capsys, "table", "--alpha", "11/6", "--beta", "-14/9", "--nmax", str(nmax), "--format", "json"
+    )
+    assert code == 0
+    table = gstirling_table(F(11, 6), F(-14, 9), nmax)
+    payload = {
+        "alpha": format_rational(table.alpha),
+        "beta": format_rational(table.beta),
+        "rows": [[format_rational(v) for v in row] for row in table.rows],
+    }
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_table_diagonal_family(capsys):
