@@ -63,3 +63,78 @@ def test_specializations_detect_a_wrong_bell_coefficient(monkeypatch, params, de
     failed = [result.detail for result in suite.specializations_ok(4) if not result.ok]
     assert failed == [detail]
 
+
+
+def test_addition_detects_a_wrong_triangle_entry(monkeypatch):
+    # the addition formula reads rows m and j <= n of the triangle; with
+    # entry (3, 1) bumped, n + m = 3 splits into a sum of unbumped rows
+    right = family.triangle_rows
+
+    def wrong(alpha, beta, nmax):
+        rows = right(alpha, beta, nmax)
+        if nmax < 3:
+            return rows
+        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
+        return rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(family, "triangle_rows", wrong)
+    for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(2)), (F(-3, 2), F(1, 2))):
+        assert suite.addition_ok(alpha, beta, 2)
+        assert not suite.addition_ok(alpha, beta, 3)
+
+
+@pytest.mark.parametrize("route", ["gstirling_explicit", "gstirling_egf"])
+def test_triple_route_detects_a_wrong_entry_on_either_route(monkeypatch, route):
+    right_explicit, right_egf = stirling.gstirling_explicit, stirling.gstirling_egf
+
+    def wrong_explicit(alpha, beta, n, k):
+        value = right_explicit(alpha, beta, n, k)
+        return value + F(1, 7) if (n, k) == (4, 2) else value
+
+    def wrong_egf(alpha, beta, nmax):
+        rows = right_egf(alpha, beta, nmax)
+        if nmax < 4:
+            return rows
+        bumped = rows[4][:2] + (rows[4][2] + F(1, 7),) + rows[4][3:]
+        return rows[:4] + (bumped,) + rows[5:]
+
+    wrong = wrong_explicit if route == "gstirling_explicit" else wrong_egf
+    monkeypatch.setattr(stirling, route, wrong)
+    for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(-3)), (F(-3, 2), F(2))):
+        assert suite.triple_route_ok(alpha, beta, 3)
+        assert not suite.triple_route_ok(alpha, beta, 4)
+
+
+def _rbell_sequences(alpha, beta, nmax):
+    a = [stirling.rising(-beta, j) for j in range(1, nmax + 1)]
+    b = [stirling.rising(-alpha, j) for j in range(nmax + 1)]
+    return a, b
+
+
+@pytest.mark.parametrize("which, index, delta", [("a", 2, 1), ("a", 0, F(1, 7)), ("b", 2, F(2, 5))])
+def test_partial_r_bell_rows_detect_one_wrong_sequence_term(which, index, delta):
+    # a_j enters row j on; b_j enters row j - 1 on
+    alpha, beta, r, nmax = F(1, 3), F(-1, 2), 2, 6
+    a, b = _rbell_sequences(alpha, beta, nmax)
+    triangle = stirling.triangle_rows(r * alpha, beta, nmax)
+    assert stirling.partial_r_bell_rows(r, nmax, a, b) == triangle
+    seq = a if which == "a" else b
+    seq[index] += delta
+    first = index + 1 if which == "a" else index
+    rows = stirling.partial_r_bell_rows(r, nmax, a, b)
+    assert rows[:first] == triangle[:first]
+    assert rows[first] != triangle[first]
+
+
+def test_rbell_connection_detects_one_wrong_sequence_term(monkeypatch):
+    right = stirling.rising
+
+    def wrong(a, n):
+        value = right(a, n)
+        return value + F(1, 5) if (a, n) == (F(1, 2), 3) else value
+
+    monkeypatch.setattr(stirling, "rising", wrong)
+    # at beta = -1/2 the term a_3 = rising(1/2, 3) is bumped from n = 3 on
+    assert stirling.verify_rbell_connection(F(1, 3), F(-1, 2), 2, 2)
+    assert not stirling.verify_rbell_connection(F(1, 3), F(-1, 2), 2, 3)
+    assert not suite.rbell_ok(F(1, 3), F(-1, 2), 3, 4)
