@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .qpoly import QPolynomial, combine, linear_products
-from .rationals import rising
+from .rationals import common_scale, rising, scaled_row
 from .stirling import (
     gstirling_inverse,
     lah,
@@ -95,8 +95,7 @@ def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float:
     # Beyond start, the term majorant g(k) * |x|**k / k! at least halves
     # each step: (1 + 1/k)**n <= 2 once k >= 2n, and |x|/(k+1) <= 1/4.
     start = max(2 * n, math.ceil(4 * abs(x)), 1)
-    d = math.lcm(alpha.denominator, beta.denominator)
-    a, b = int(alpha * d), int(beta * d)
+    d, a, b = common_scale(alpha, beta)
     p, q = x.numerator, x.denominator
     # d * (|alpha| + n + |beta|*k) is bound_base + |b|*k, so its n-th power
     # is d**n * g(k), the numerator of the majorant over den
@@ -194,21 +193,28 @@ def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
 
     sum_{j<=n} sum_{k<=m} C(n, j) * rising(m - beta*k, n-j) * S(m, k)
         * x**k * family_j(x).
+
+    Every term is an integer over d**(n+m) (``common_scale``): d**(n-j) *
+    rising(m - beta*k, n-j) is prod_{l<n-j} (m*d - b*k + l*d), and rows m
+    and j are read as the integers d**m * S(m, k) and d**j * S(j, i).
     """
     if n < 0 or m < 0:
         raise ValueError(f"n and m must be >= 0, got (n={n}, m={m})")
-    a, b = params.alpha, params.beta
-    rows = triangle_rows(a, b, max(n, m))
-    out = [Fraction(0)] * (n + m + 1)
+    d, _, b = common_scale(params.alpha, params.beta)
+    rows = triangle_rows(params.alpha, params.beta, max(n, m))
+    row_m = scaled_row(rows[m], d**m)
+    out = [0] * (n + m + 1)
     for j in range(n + 1):
-        cnj = comb(n, j)
+        row_j = scaled_row(rows[j], d**j)
         for k in range(m + 1):
-            scalar = cnj * rising(m - b * k, n - j) * rows[m][k]
+            first = m * d - b * k
+            scalar = comb(n, j) * math.prod(range(first, first + (n - j) * d, d)) * row_m[k]
             if scalar:
                 # scalar * x**k * family_j(x), family_j having row j as coefficients
-                for i, c in enumerate(rows[j]):
+                for i, c in enumerate(row_j):
                     out[i + k] += scalar * c
-    return QPolynomial(out)
+    scale = d ** (n + m)
+    return QPolynomial(Fraction(v, scale) for v in out)
 
 
 U_PARAMS = FamilyParams(Fraction(-1, 2), Fraction(-1, 2))

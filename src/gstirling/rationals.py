@@ -4,15 +4,15 @@ Every quantity downstream (coefficient triangles, polynomial families,
 series oracles) is computed over arbitrary-precision rationals so that
 identity checks are exact, never approximate.  ``fractions.Fraction``
 already gives lowest-terms storage with a positive denominator, so it is
-the Rational type; this module adds the wire format and the rising /
-falling factorial products every coefficient formula is built from.
+the Rational type; this module adds the wire format, the integer kernels'
+scale and the rising / falling factorials of every coefficient formula.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 Rational = Fraction
 
@@ -41,7 +41,18 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Inverse of :func:`parse_rational`; emits "p" or "p/q" with q > 1."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
+
+
+def common_scale(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
+    """(d, alpha*d, beta*d), d = lcm(den alpha, den beta): d**n * S(n, k) is an integer."""
+    d = lcm(alpha.denominator, beta.denominator)
+    return d, alpha.numerator * (d // alpha.denominator), beta.numerator * (d // beta.denominator)
+
+
+def scaled_row(row, scale: int) -> tuple[int, ...]:
+    """The integers scale * v for ``Fraction``s v whose denominators divide scale."""
+    return tuple(v.numerator * (scale // v.denominator) for v in row)
 
 
 def rising(a: Fraction | int, n: int) -> Fraction:

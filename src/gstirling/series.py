@@ -1,23 +1,26 @@
-"""Truncated power series in t over the rationals, all exact.
+"""Truncated power series in t, all exact.
 
-A series is a tuple of ``Fraction``s whose entry i multiplies t**i; its
-truncation order is its length minus one.  Every triangle read off a
-generating function head * exp(x*base), base with no constant term, comes
-from one column extraction: the columns C_k = head * base**k / k! have no
-t-power below k, so C_0..C_order give the whole truncated function and
-n! * C_k[n] is entry (n, k).  The family's generating function is the
-case head = (1-t)**alpha, base = (1-t)**beta - 1; the partial (r-)Bell
-values in ``stirling`` are another.  Generating-function statements are
-re-derived by expanding both sides to a fixed order and comparing
-coefficients, with no rounding anywhere.
+The kernels hold a series in u-form at a scale L: a tuple of integers whose
+entry n is n! * L**n times the t**n coefficient.  (1 - t)**(p/L) has the
+entries prod_{i<n} (i*L - p), a product is the binomial convolution
+sum_i C(n, i) * u_i * v_{n-i}, and an m-th t-derivative times L**m is a
+shift by m.  Every triangle read off a generating function head * exp(x*base),
+base with no constant term, comes from one column extraction, ``columns``:
+C_k = head * base**k / k! has no t-power below k, and its u-form entry n is
+L**n times entry (n, k).  The family's case is head = (1-t)**alpha,
+base = (1-t)**beta - 1 at L = d; the partial (r-)Bell values in ``stirling``
+are another.  ``binomial_series`` and ``series_mul`` work on ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from itertools import accumulate
+from math import comb
+from operator import mul
 
 from .qpoly import QPolynomial
+from .rationals import common_scale
 
 
 def binomial_series(a: Fraction | int, order: int) -> tuple[Fraction, ...]:
@@ -44,36 +47,53 @@ def series_mul(s1: tuple, s2: tuple) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def egf_columns(head: tuple, base: tuple) -> list[tuple[Fraction, ...]]:
-    """The columns C_0..C_order of head * base**k / k!, order = len(head) - 1;
-    ``base`` shares that order and has no constant term."""
-    columns = [head]
+def u_binomial(p: int, scale: int, order: int) -> tuple[int, ...]:
+    """u-form of (1 - t)**(p/scale) through t**order."""
+    return tuple(accumulate((n * scale - p for n in range(order)), mul, initial=1))
+
+
+def u_mul(u: tuple, v: tuple) -> tuple[int, ...]:
+    """u-form product of two u-form series of one order and scale."""
+    out = [0] * len(u)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v[: len(u) - i]):
+                if y:
+                    out[i + j] += comb(i + j, i) * x * y
+    return tuple(out)
+
+
+def columns(head: tuple, base: tuple) -> list[tuple[int, ...]]:
+    """The u-form columns C_0..C_order of head * base**k / k!; ``base`` shares
+    head's order and scale, has no constant term, and step k divides by k
+    exactly or raises ArithmeticError."""
+    cols = [tuple(head)]
     for k in range(1, len(head)):
-        columns.append(tuple(c / k for c in series_mul(columns[-1], base)))
-    return columns
+        col = [divmod(v, k) for v in u_mul(cols[-1], base)]
+        if any(rem for _, rem in col):
+            raise ArithmeticError(f"column {k} is not integral at its scale")
+        cols.append(tuple(q for q, _ in col))
+    return cols
 
 
-def egf_rows(head: tuple, base: tuple) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows n = 0..order of n! * C_k[n], k <= n, read off ``egf_columns``."""
-    columns = egf_columns(head, base)
+def column_rows(head: tuple, base: tuple, scale: int, shift: int = 0) -> tuple[tuple, ...]:
+    """Rows of ``columns``: entry (n, k) is column k's entry n over scale**(n + shift)."""
+    cols = columns(head, base)
     return tuple(
-        tuple(factorial(n) * column[n] for column in columns[: n + 1])
-        for n in range(len(columns))
+        tuple(Fraction(col[n], scale ** (n + shift)) for col in cols[: n + 1])
+        for n in range(len(cols))
     )
-
-
-def _family_base(beta: Fraction, order: int) -> tuple[Fraction, ...]:
-    return (Fraction(0),) + binomial_series(beta, order)[1:]  # (1-t)**beta - 1
 
 
 def gf_rows(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows 0..nmax of the coefficient triangle read off the family's
-    column series.  Any beta is accepted; at beta = 0 every column past
-    C_0 is zero."""
+    column series at scale d.  Any beta is accepted; at beta = 0 every
+    column past C_0 is zero."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    return egf_rows(binomial_series(alpha, nmax), _family_base(beta, nmax))
+    d, a, b = common_scale(alpha, beta)
+    return column_rows(u_binomial(a, d, nmax), (0,) + u_binomial(b, d, nmax)[1:], d)
 
 
 def gf_polynomials(alpha, beta, nmax: int) -> list[QPolynomial]:
@@ -99,8 +119,7 @@ def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
     coefficient of the left side is C_j differentiated m times, and that
     of the right side is (1-t)**(-m) * sum_{k <= min(m, j)} S(m, k) *
     (1-t)**(beta*k) * C_{j-k}.  Both are scalar series compared through
-    t**(order - m), the terms the order-`order` columns fix exactly.  Two
-    polynomials in x are equal exactly when each coefficient is, and no
+    t**(order - m), the terms the order-`order` columns fix exactly; no
     x**j with j > order reaches t**(order - m), so the check is exact.
     The two binomial factors stay separate series, so the check does not
     assume the exponent law (1-t)**a * (1-t)**b = (1-t)**(a+b).
@@ -116,28 +135,27 @@ def verify_gf_derivatives(alpha, beta, ms, order: int) -> bool:
     for m in ms:
         if not 0 <= m <= order:
             raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
-    columns = egf_columns(binomial_series(alpha, order), _family_base(beta, order))
-    return all(_derivative_holds(columns, alpha, beta, m) for m in ms)
+    d, a, b = common_scale(alpha, beta)
+    cols = columns(u_binomial(a, d, order), (0,) + u_binomial(b, d, order)[1:])
+    return all(_derivative_holds(cols, d, b, alpha, beta, m) for m in ms)
 
 
-def _derivative_holds(columns: list, alpha: Fraction, beta: Fraction, m: int) -> bool:
+def _derivative_holds(cols: list, d: int, b: int, alpha, beta, m: int) -> bool:
+    """d**m times both sides in u-form: C_j[m:] against the sum over k of
+    d**m * S(m, k) * (1-t)**(-m) * (1-t)**(beta*k) * C_{j-k}."""
     from .stirling import gstirling_explicit  # deferred: stirling uses this module
 
-    order = len(columns) - 1
-    length = order - m + 1
-    lower = binomial_series(-m, order - m)
+    length = len(cols) - m
+    lower = u_binomial(-m * d, d, length - 1)
     weights = []
     for k in range(m + 1):
         s = gstirling_explicit(alpha, beta, m, k)
-        weights.append(
-            tuple(s * c for c in series_mul(lower, binomial_series(beta * k, order - m)))
-        )
-    for j, column in enumerate(columns):
-        lhs = [perm(i + m, m) * column[i + m] for i in range(length)]
-        rhs = [Fraction(0)] * length
-        for k in range(min(m, j) + 1):
-            for i, c in enumerate(series_mul(weights[k], columns[j - k][:length])):
-                rhs[i] += c
-        if lhs != rhs:
+        w, rem = divmod(s.numerator * d**m, s.denominator)
+        if rem:  # not the triangle's weight, whose d**m * S(m, k) is an integer
+            return False
+        weights.append(tuple(w * c for c in u_mul(lower, u_binomial(b * k, d, length - 1))))
+    for j, col in enumerate(cols):
+        terms = [u_mul(weights[k], cols[j - k][:length]) for k in range(min(m, j) + 1)]
+        if list(col[m:]) != [sum(entries) for entries in zip(*terms)]:
             return False
     return True

@@ -6,9 +6,9 @@ polynomial family in the monomial basis.  Around it sit its inverse
 triangle, the classical Stirling numbers of both kinds, Lah and r-Lah
 numbers, and partial (r-)Bell polynomials, each of which specializes or
 transports the central triangle.  ``partial_r_bell_rows`` reads whole
-partial r-Bell triangles off the column extraction of the family triangle,
-``series.egf_rows``, and the per-entry partial (r-)Bell functions index
-into them; the Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is
+partial r-Bell triangles off the integer column extraction of the family
+triangle, ``series.column_rows``, and the per-entry partial (r-)Bell functions
+index into them; the Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is
 the package's only cache.
 """
 
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, lcm, perm, prod
 from typing import Sequence
 
 from .qpoly import QPolynomial, combine, linear_products
-from .rationals import rising
-from .series import egf_rows, gf_rows, series_mul
+from .rationals import common_scale, rising, scaled_row
+from .series import column_rows, gf_rows, u_mul
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -64,10 +64,9 @@ def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fra
     """
 
     def step(m, row):
-        d = lcm(alpha.denominator, beta.denominator)
-        a, b = int(alpha * d), int(beta * d)
+        d, a, b = common_scale(alpha, beta)
         scale = d**m
-        padded = (0,) + tuple(v.numerator * (scale // v.denominator) for v in row) + (0,)
+        padded = (0, *scaled_row(row, scale), 0)
         scale *= d
         return tuple(
             Fraction((m * d - a - b * j) * padded[j + 1] - b * padded[j], scale)
@@ -109,15 +108,16 @@ def gstirling_table(alpha, beta, nmax: int) -> GStirlingTable:
 def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
     """Alternating-sum closed form, an independent route to one entry.
 
-    S(n, k) = (1/k!) * sum_{j=0..k} (-1)**(k-j) * C(k, j) * rising(-alpha - beta*j, n).
+    S(n, k) = (1/k!) * sum_{j=0..k} (-1)**(k-j) * C(k, j) * rising(-alpha - beta*j, n),
+    summed on integers: d**n * rising(...) = prod_{i<n} (i*d - a - b*j) (``common_scale``).
     """
     _check_indices(n, k)
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    total = Fraction(0)
-    for j in range(k + 1):
-        term = comb(k, j) * rising(-alpha - beta * j, n)
-        total += term if (k - j) % 2 == 0 else -term
-    return total / factorial(k)
+    d, a, b = common_scale(Fraction(alpha), Fraction(beta))
+    total = sum(
+        (-1) ** (k - j) * comb(k, j) * prod(range(-a - b * j, n * d - a - b * j, d))
+        for j in range(k + 1)
+    )
+    return Fraction(total, factorial(k) * d**n)
 
 
 def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -194,8 +194,8 @@ def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tup
     """Partial r-Bell values: entry [n][k], k <= n <= nmax, is the value with
     full indices (n+r, k+r), n! times the t**n coefficient of
     (1/k!) * (sum_{j>=1} a_j t**j / j!)**k * (sum_{j>=0} b_{j+1} t**j / j!)**r,
-    read by ``series.egf_rows``.  ``a`` lists a_1..a_nmax and ``b`` lists
-    b_1..b_{nmax+1}."""
+    read by ``series.column_rows`` at L, the lcm of the sequences' denominators.
+    ``a`` lists a_1..a_nmax and ``b`` lists b_1..b_{nmax+1}."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if nmax < 0:
@@ -204,15 +204,19 @@ def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tup
         raise ValueError(f"sequence a needs {nmax} terms, got {len(a)}")
     if r >= 1 and len(b) < nmax + 1:
         raise ValueError(f"sequence b needs {nmax + 1} terms, got {len(b)}")
-    base = (Fraction(0),) + tuple(Fraction(a[j]) / factorial(j + 1) for j in range(nmax))
-    head = (Fraction(1),) + (Fraction(0),) * nmax
+    a = [Fraction(v) for v in a[:nmax]]
+    b = [Fraction(v) for v in b[: nmax + 1]] if r else []
+    scale = lcm(*(v.denominator for v in a + b))
+    # L**(j+1) * a_{j+1} and L**(j+1) * b_{j+1}: the base's u-form, L times the factor's
+    base = (0,) + tuple(v * scale**j for j, v in enumerate(scaled_row(a, scale)))
+    head = (1,) + (0,) * nmax
     if r >= 1:
-        head = factor = tuple(Fraction(b[j]) / factorial(j) for j in range(nmax + 1))
+        head = factor = tuple(v * scale**j for j, v in enumerate(scaled_row(b, scale)))
         for bit in bin(r)[3:]:  # B**r by squaring, so the cost grows with log(r)
-            head = series_mul(head, head)
+            head = u_mul(head, head)
             if bit == "1":
-                head = series_mul(head, factor)
-    return egf_rows(head, base)
+                head = u_mul(head, factor)
+    return column_rows(head, base, scale, r)
 
 
 def partial_r_bell(r: int, n: int, k: int, a: Sequence, b: Sequence = ()) -> Fraction:

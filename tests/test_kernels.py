@@ -1,23 +1,32 @@
-"""Property tests of the two integer kernels on random rational parameters.
+"""Property tests of the integer kernels on random rational parameters.
 
 ``stirling.triangle_rows`` steps the triangle on integers scaled by a power
 of the common denominator d of (alpha, beta), and ``family.eval_dobinski``
 sums its series as one integer numerator over d**n * q**k * k!.  Each is
 checked against an independent route: the triangle against the closed form
 ``gstirling_explicit``, the series against ``_dobinski_fractions``, the same
-sum written term by term over ``Fraction``.  Each property runs on a seeded
-``random.Random`` draw and, when hypothesis is installed, on its draws too.
+sum written term by term over ``Fraction``.
+
+The explicit sum, ``family.addition``, the column extraction behind
+``series.gf_rows`` and ``stirling.partial_r_bell_rows``, and the
+gf-derivative check run on integers too.  Each is compared with a
+``Fraction`` transcription of the loop it replaced, kept below as an
+oracle.  Each property runs on a seeded ``random.Random`` draw and, when
+hypothesis is installed, on its draws too.
 """
 
 import math
 import random
 from fractions import Fraction
+from math import comb, factorial, perm
 
 import pytest
 
-from gstirling import stirling
-from gstirling.family import FamilyParams, eval_dobinski
+from gstirling import series, stirling
+from gstirling.family import FamilyParams, addition, eval_dobinski
+from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
+from gstirling.series import binomial_series, series_mul
 from gstirling.stirling import gstirling_explicit, triangle_rows
 
 F = Fraction
@@ -150,3 +159,230 @@ def test_kernels_on_hypothesis_draws(monkeypatch):
 
     triangle()
     dobinski()
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the loops the integer kernels replaced
+
+
+def _explicit_fractions(alpha, beta, n, k):
+    total = Fraction(0)
+    for j in range(k + 1):
+        term = comb(k, j) * rising(-alpha - beta * j, n)
+        total += term if (k - j) % 2 == 0 else -term
+    return total / factorial(k)
+
+
+def _addition_fractions(alpha, beta, n, m):
+    rows = triangle_rows(alpha, beta, max(n, m))
+    out = [Fraction(0)] * (n + m + 1)
+    for j in range(n + 1):
+        for k in range(m + 1):
+            scalar = comb(n, j) * rising(m - beta * k, n - j) * rows[m][k]
+            for i, c in enumerate(rows[j]):
+                out[i + k] += scalar * c
+    return QPolynomial(out)
+
+
+def _egf_columns(head, base):
+    columns = [head]
+    for k in range(1, len(head)):
+        columns.append(tuple(c / k for c in series_mul(columns[-1], base)))
+    return columns
+
+
+def _egf_rows(head, base):
+    columns = _egf_columns(head, base)
+    return tuple(
+        tuple(factorial(n) * column[n] for column in columns[: n + 1])
+        for n in range(len(columns))
+    )
+
+
+def _family_columns_fractions(alpha, beta, order):
+    base = (Fraction(0),) + binomial_series(beta, order)[1:]
+    return _egf_columns(binomial_series(alpha, order), base)
+
+
+def _gf_rows_fractions(alpha, beta, nmax):
+    base = (Fraction(0),) + binomial_series(beta, nmax)[1:]
+    return _egf_rows(binomial_series(alpha, nmax), base)
+
+
+def _derivative_holds_fractions(alpha, beta, m, order, explicit):
+    columns = _family_columns_fractions(alpha, beta, order)
+    length = order - m + 1
+    lower = binomial_series(-m, order - m)
+    weights = []
+    for k in range(m + 1):
+        s = explicit(alpha, beta, m, k)
+        weights.append(
+            tuple(s * c for c in series_mul(lower, binomial_series(beta * k, order - m)))
+        )
+    for j, column in enumerate(columns):
+        lhs = [perm(i + m, m) * column[i + m] for i in range(length)]
+        rhs = [Fraction(0)] * length
+        for k in range(min(m, j) + 1):
+            for i, c in enumerate(series_mul(weights[k], columns[j - k][:length])):
+                rhs[i] += c
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _partial_r_bell_fractions(r, nmax, a, b):
+    base = (Fraction(0),) + tuple(Fraction(a[j]) / factorial(j + 1) for j in range(nmax))
+    head = (Fraction(1),) + (Fraction(0),) * nmax
+    for _ in range(r):
+        head = series_mul(head, tuple(Fraction(b[j]) / factorial(j) for j in range(nmax + 1)))
+    return _egf_rows(head, base)
+
+
+# ---------------------------------------------------------------------------
+# the comparisons, shared by the seeded and the hypothesis draws
+
+
+def _check_explicit(alpha, beta, n):
+    for k in range(n + 1):
+        value = gstirling_explicit(alpha, beta, n, k)
+        assert value == _explicit_fractions(alpha, beta, n, k)
+        assert type(value) is Fraction
+
+
+def _check_addition(alpha, beta, n, m):
+    params = FamilyParams(alpha, beta)
+    assert addition(params, n, m) == _addition_fractions(alpha, beta, n, m)
+
+
+def _check_gf_rows(alpha, beta, nmax):
+    rows = series.gf_rows(alpha, beta, nmax)
+    assert rows == _gf_rows_fractions(alpha, beta, nmax)
+    assert all(type(v) is Fraction for row in rows for v in row)
+
+
+def _check_gf_derivative(monkeypatch, alpha, beta, m, order, bump):
+    """Both checks see the same explicit entries, one of which may be off
+    by ``bump`` (zero keeps them right); their verdicts must agree."""
+    def explicit(a, b, n, k):
+        value = gstirling_explicit(a, b, n, k)
+        return value + bump if k == n // 2 else value
+
+    monkeypatch.setattr(stirling, "gstirling_explicit", explicit)
+    verdict = series.verify_gf_derivatives(alpha, beta, (m,), order)
+    assert verdict == _derivative_holds_fractions(alpha, beta, m, order, explicit)
+    assert verdict == (bump == 0)
+
+
+def _check_partial_r_bell(r, nmax, a, b):
+    rows = stirling.partial_r_bell_rows(r, nmax, a, b)
+    assert rows == _partial_r_bell_fractions(r, nmax, a, b)
+    assert all(type(v) is Fraction for row in rows for v in row)
+
+
+def _pair(rng):
+    """alpha and beta != 0 with denominators up to 12 that differ."""
+    den_a = rng.randint(1, 12)
+    den_b = rng.choice([d for d in range(1, 13) if d != den_a])
+    alpha = F(rng.randint(-3 * den_a, 3 * den_a), den_a)
+    beta = F(rng.choice([p for p in range(-3 * den_b, 3 * den_b + 1) if p]), den_b)
+    return alpha, beta
+
+
+ORACLE_RNG = random.Random(20261020)
+ORACLE_PAIRS = [(F(0), F(7, 12)), (F(-5, 11), F(7, 12)), (F(0), F(-3, 2))] + [
+    _pair(ORACLE_RNG) for _ in range(6)
+]
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+def test_explicit_sum_matches_the_fraction_sum(alpha, beta):
+    for n in (0, 1, 5, 12, 20):
+        _check_explicit(alpha, beta, n)
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+def test_addition_matches_the_fraction_sum(alpha, beta):
+    rng = random.Random(str((alpha, beta)))
+    splits = [(0, 0), (20, 0), (0, 20)] + [
+        (n, rng.randint(0, 20 - n)) for n in rng.sample(range(21), 6)
+    ]
+    for n, m in splits:
+        _check_addition(alpha, beta, n, m)
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+def test_gf_rows_match_the_fraction_columns(alpha, beta):
+    _check_gf_rows(alpha, beta, 20)
+    _check_gf_rows(alpha, beta, 0)
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+@pytest.mark.parametrize("bump", [F(0), F(1), F(1, 7)])
+def test_gf_derivative_matches_the_fraction_check(monkeypatch, alpha, beta, bump):
+    rng = random.Random(str((alpha, beta, bump)))
+    order = rng.randint(2, 20)
+    _check_gf_derivative(monkeypatch, alpha, beta, rng.randint(1, min(order, 6)), order, bump)
+
+
+def _sequence(rng, length):
+    return [_rational(rng, -3, 3, 12) for _ in range(length)]
+
+
+PARTIAL_RNG = random.Random(3)
+PARTIAL_DRAWS = [(0, 20), (3, 20), (1, 0), (2, 1)] + [
+    (PARTIAL_RNG.randint(0, 3), PARTIAL_RNG.randint(0, 20)) for _ in range(6)
+]
+
+
+@pytest.mark.parametrize("r, nmax", PARTIAL_DRAWS)
+def test_partial_r_bell_rows_match_the_fraction_columns(r, nmax):
+    rng = random.Random(r * 100 + nmax)
+    _check_partial_r_bell(r, nmax, _sequence(rng, nmax), _sequence(rng, nmax + 1))
+
+
+def test_replaced_kernels_on_hypothesis_draws(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def rationals(lo, hi, max_den):
+        return st.integers(1, max_den).flatmap(
+            lambda den: st.builds(F, st.integers(lo * den, hi * den), st.just(den))
+        )
+
+    alphas, betas = rationals(-3, 3, 12), rationals(-3, 3, 12).filter(bool)
+    settings = hypothesis.settings(max_examples=25, deadline=None)
+
+    @settings
+    @hypothesis.given(alphas, betas, st.integers(0, 20))
+    def explicit_and_gf_rows(alpha, beta, n):
+        _check_explicit(alpha, beta, n)
+        _check_gf_rows(alpha, beta, n)
+
+    @settings
+    @hypothesis.given(alphas, betas, st.integers(0, 20), st.integers(0, 20))
+    def additions(alpha, beta, n, m):
+        hypothesis.assume(n + m <= 20)
+        _check_addition(alpha, beta, n, m)
+
+    @settings
+    @hypothesis.given(
+        alphas, betas, st.integers(0, 6), st.integers(0, 14), st.sampled_from((F(0), F(1), F(1, 7)))
+    )
+    def derivatives(alpha, beta, m, extra, bump):
+        _check_gf_derivative(monkeypatch, alpha, beta, m, m + extra, bump)
+
+    @settings
+    @hypothesis.given(st.integers(0, 3), st.integers(0, 20).flatmap(
+        lambda nmax: st.tuples(
+            st.just(nmax),
+            st.lists(rationals(-3, 3, 12), min_size=nmax, max_size=nmax),
+            st.lists(rationals(-3, 3, 12), min_size=nmax + 1, max_size=nmax + 1),
+        )
+    ))
+    def partial_r_bells(r, drawn):
+        _check_partial_r_bell(r, *drawn)
+
+    explicit_and_gf_rows()
+    additions()
+    derivatives()
+    partial_r_bells()
