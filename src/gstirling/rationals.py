@@ -50,9 +50,9 @@ def common_scale(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
     return d, alpha.numerator * (d // alpha.denominator), beta.numerator * (d // beta.denominator)
 
 
-def scaled_row(row, scale: int) -> tuple[int, ...]:
+def scaled_row(row, scale: int) -> list[int]:
     """The integers scale * v for ``Fraction``s v whose denominators divide scale."""
-    return tuple(v.numerator * (scale // v.denominator) for v in row)
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def rising(a: Fraction | int, n: int) -> Fraction:

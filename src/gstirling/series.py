@@ -1,6 +1,6 @@
 """Truncated power series in t, all exact.
 
-The kernels hold a series in u-form at a scale L: a tuple of integers whose
+The kernels hold a series in u-form at a scale L: a list of integers whose
 entry n is n! * L**n times the t**n coefficient.  (1 - t)**(p/L) has the
 entries prod_{i<n} (i*L - p), a product is the binomial convolution
 sum_i C(n, i) * u_i * v_{n-i}, and an m-th t-derivative times L**m is a
@@ -47,12 +47,12 @@ def series_mul(s1: tuple, s2: tuple) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def u_binomial(p: int, scale: int, order: int) -> tuple[int, ...]:
+def u_binomial(p: int, scale: int, order: int) -> list[int]:
     """u-form of (1 - t)**(p/scale) through t**order."""
-    return tuple(accumulate((n * scale - p for n in range(order)), mul, initial=1))
+    return list(accumulate((n * scale - p for n in range(order)), mul, initial=1))
 
 
-def u_mul(u: tuple, v: tuple) -> tuple[int, ...]:
+def u_mul(u: list, v: list) -> list[int]:
     """u-form product of two u-form series of one order and scale."""
     out = [0] * len(u)
     for i, x in enumerate(u):
@@ -60,23 +60,23 @@ def u_mul(u: tuple, v: tuple) -> tuple[int, ...]:
             for j, y in enumerate(v[: len(u) - i]):
                 if y:
                     out[i + j] += comb(i + j, i) * x * y
-    return tuple(out)
+    return out
 
 
-def columns(head: tuple, base: tuple) -> list[tuple[int, ...]]:
+def columns(head: list, base: list) -> list[list[int]]:
     """The u-form columns C_0..C_order of head * base**k / k!; ``base`` shares
     head's order and scale, has no constant term, and step k divides by k
     exactly or raises ArithmeticError."""
-    cols = [tuple(head)]
+    cols = [head]
     for k in range(1, len(head)):
         col = [divmod(v, k) for v in u_mul(cols[-1], base)]
         if any(rem for _, rem in col):
             raise ArithmeticError(f"column {k} is not integral at its scale")
-        cols.append(tuple(q for q, _ in col))
+        cols.append([q for q, _ in col])
     return cols
 
 
-def column_rows(head: tuple, base: tuple, scale: int, shift: int = 0) -> tuple[tuple, ...]:
+def column_rows(head: list, base: list, scale: int, shift: int = 0) -> tuple[tuple, ...]:
     """Rows of ``columns``: entry (n, k) is column k's entry n over scale**(n + shift)."""
     cols = columns(head, base)
     return tuple(
@@ -93,7 +93,7 @@ def gf_rows(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     d, a, b = common_scale(alpha, beta)
-    return column_rows(u_binomial(a, d, nmax), (0,) + u_binomial(b, d, nmax)[1:], d)
+    return column_rows(u_binomial(a, d, nmax), [0] + u_binomial(b, d, nmax)[1:], d)
 
 
 def gf_polynomials(alpha, beta, nmax: int) -> list[QPolynomial]:
@@ -136,7 +136,7 @@ def verify_gf_derivatives(alpha, beta, ms, order: int) -> bool:
         if not 0 <= m <= order:
             raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
     d, a, b = common_scale(alpha, beta)
-    cols = columns(u_binomial(a, d, order), (0,) + u_binomial(b, d, order)[1:])
+    cols = columns(u_binomial(a, d, order), [0] + u_binomial(b, d, order)[1:])
     return all(_derivative_holds(cols, d, b, alpha, beta, m) for m in ms)
 
 
@@ -153,9 +153,9 @@ def _derivative_holds(cols: list, d: int, b: int, alpha, beta, m: int) -> bool:
         w, rem = divmod(s.numerator * d**m, s.denominator)
         if rem:  # not the triangle's weight, whose d**m * S(m, k) is an integer
             return False
-        weights.append(tuple(w * c for c in u_mul(lower, u_binomial(b * k, d, length - 1))))
+        weights.append([w * c for c in u_mul(lower, u_binomial(b * k, d, length - 1))])
     for j, col in enumerate(cols):
         terms = [u_mul(weights[k], cols[j - k][:length]) for k in range(min(m, j) + 1)]
-        if list(col[m:]) != [sum(entries) for entries in zip(*terms)]:
+        if col[m:] != [sum(entries) for entries in zip(*terms)]:
             return False
     return True

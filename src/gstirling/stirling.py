@@ -208,10 +208,10 @@ def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tup
     b = [Fraction(v) for v in b[: nmax + 1]] if r else []
     scale = lcm(*(v.denominator for v in a + b))
     # L**(j+1) * a_{j+1} and L**(j+1) * b_{j+1}: the base's u-form, L times the factor's
-    base = (0,) + tuple(v * scale**j for j, v in enumerate(scaled_row(a, scale)))
-    head = (1,) + (0,) * nmax
+    base = [0] + [v * scale**j for j, v in enumerate(scaled_row(a, scale))]
+    head = [1] + [0] * nmax
     if r >= 1:
-        head = factor = tuple(v * scale**j for j, v in enumerate(scaled_row(b, scale)))
+        head = factor = [v * scale**j for j, v in enumerate(scaled_row(b, scale))]
         for bit in bin(r)[3:]:  # B**r by squaring, so the cost grows with log(r)
             head = u_mul(head, head)
             if bit == "1":
