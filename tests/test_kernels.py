@@ -191,8 +191,7 @@ def _egf_columns(head, base):
     return columns
 
 
-def _egf_rows(head, base):
-    columns = _egf_columns(head, base)
+def _egf_rows(columns):
     return tuple(
         tuple(factorial(n) * column[n] for column in columns[: n + 1])
         for n in range(len(columns))
@@ -202,11 +201,6 @@ def _egf_rows(head, base):
 def _family_columns_fractions(alpha, beta, order):
     base = (Fraction(0),) + binomial_series(beta, order)[1:]
     return _egf_columns(binomial_series(alpha, order), base)
-
-
-def _gf_rows_fractions(alpha, beta, nmax):
-    base = (Fraction(0),) + binomial_series(beta, nmax)[1:]
-    return _egf_rows(binomial_series(alpha, nmax), base)
 
 
 def _derivative_holds_fractions(alpha, beta, m, order, explicit):
@@ -235,7 +229,7 @@ def _partial_r_bell_fractions(r, nmax, a, b):
     head = (Fraction(1),) + (Fraction(0),) * nmax
     for _ in range(r):
         head = series_mul(head, tuple(Fraction(b[j]) / factorial(j) for j in range(nmax + 1)))
-    return _egf_rows(head, base)
+    return _egf_rows(_egf_columns(head, base))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,7 @@ def _check_addition(alpha, beta, n, m):
 
 def _check_gf_rows(alpha, beta, nmax):
     rows = series.gf_rows(alpha, beta, nmax)
-    assert rows == _gf_rows_fractions(alpha, beta, nmax)
+    assert rows == _egf_rows(_family_columns_fractions(alpha, beta, nmax))
     assert all(type(v) is Fraction for row in rows for v in row)
 
 
