@@ -28,23 +28,19 @@ from .family import (
 )
 from .operators import (
     ExpMonomialSum,
-    derivative,
-    euler_shift,
     verify_bell_operator,
     verify_rodrigues_first,
     verify_rodrigues_second,
 )
 from .qpoly import QPolynomial, poly_divexact, poly_gcd
 from .rationals import (
-    Rational,
     WireFormatError,
-    binom,
     falling,
     format_rational,
     parse_rational,
     rising,
 )
-from .series import binomial_series, gf_polynomials, series_mul, verify_gf_derivative
+from .series import gf_polynomials, verify_gf_derivative
 from .stirling import (
     CompositionReport,
     GStirlingTable,
@@ -54,13 +50,11 @@ from .stirling import (
     gstirling_inverse,
     gstirling_table,
     lah,
-    partial_bell,
     partial_r_bell,
     partial_r_bell_rows,
     rlah,
     stirling1,
     stirling2,
-    verify_composition,
     verify_rbell_connection,
 )
 from .zeros import (

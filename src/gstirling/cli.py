@@ -4,7 +4,7 @@ Subcommands: ``table`` (coefficient triangle), ``poly`` (one family
 member), ``eval`` (summed-series evaluation), ``zeros`` (real-root
 report), ``family`` (named specializations), ``verify`` (identity
 checks).  Exit codes are fixed for scripting: 0 success, 1 I/O error,
-2 usage error or arithmetic overflow, 3 verification failure.  Rationals
+2 usage or arithmetic error, 3 verification failure.  Rationals
 on the command line use the same exact "p/q" syntax as every emitter;
 decimals are rejected.
 """
@@ -174,6 +174,13 @@ def run_eval(args) -> int:
     params = family.FamilyParams(args.alpha, args.beta)
     value = family.eval_dobinski(params, args.n, args.x, epsilon)
     exact = family.poly(params, args.n)(args.x)
+    if isinstance(value, float):
+        series = repr(value)
+    else:
+        # past the float range: 17 significant digits in repr's style, and
+        # a JSON string, since a JSON number this large reads back as inf
+        mantissa, exponent = f"{value:.16e}".split("e")
+        series = value = f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
     if args.format == "json":
         payload = {
             "alpha": format_rational(args.alpha),
@@ -185,7 +192,7 @@ def run_eval(args) -> int:
             "exact": format_rational(exact),
         }
     else:
-        payload = (f"series = {value!r}", f"exact = {format_rational(exact)}", f"epsilon = {args.epsilon}")
+        payload = (f"series = {series}", f"exact = {format_rational(exact)}", f"epsilon = {args.epsilon}")
     _emit(payload, args.output)
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
@@ -64,7 +65,7 @@ def bell_poly(n: int) -> QPolynomial:
     return QPolynomial(stirling2(n, k) for k in range(n + 1))
 
 
-def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float:
+def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float | Decimal:
     """Evaluate the degree-n family member by its summed series form:
 
     exp(-x) * sum_{k>=0} rising(-alpha - beta*k, n) * x**k / k!.
@@ -72,7 +73,8 @@ def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float:
     The sum is exact; it stops once a majorant of the tail drops below
     epsilon, so the result is within epsilon (plus float rounding) of the
     exact polynomial value.  Negative x is allowed; there the majorant
-    uses absolute values and converges more slowly.
+    uses absolute values and converges more slowly.  A value past the
+    float range comes back as a Decimal rounded to 17 significant digits.
 
     With d the common denominator of alpha and beta, a = alpha*d, b = beta*d
     and x = p/q, the partial sum up to k is N / D with D = d**n * q**k * k!
@@ -87,7 +89,7 @@ def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float:
     x = Fraction(x)
     alpha, beta = params.alpha, params.beta
     if x == 0:
-        return float(rising(-alpha, n))
+        return _times_exp(rising(-alpha, n), x)
 
     # Tail budget for the pre-factor exp(-x): at most 1 for x >= 0, and
     # exp(-x) <= 4**(-x) gives a rational bound for x < 0.
@@ -115,7 +117,27 @@ def eval_dobinski(params: FamilyParams, n: int, x, epsilon) -> float:
         power *= p
         num *= q * k
         den *= q * k
-    return math.exp(-float(x)) * float(Fraction(num, den))
+    return _times_exp(Fraction(num, den), x)
+
+
+def _times_exp(total: Fraction, x: Fraction) -> float | Decimal:
+    """exp(-x) * total as a float, or where the float route leaves the float
+    range, in ``decimal`` rounded to 17 significant digits; that value is
+    returned as a float if it fits one."""
+    try:
+        value = math.exp(-float(x)) * float(total)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    with localcontext() as ctx:
+        # guard digits: exp scales the relative rounding error of x by |x|
+        ctx.prec = 40 + int(abs(x)).bit_length()
+        exact = (-Decimal(x.numerator) / x.denominator).exp() * total.numerator / total.denominator
+        ctx.prec = 17
+        exact = +exact
+    value = float(exact)
+    return value if math.isfinite(value) else exact
 
 
 def to_bell_basis(params: FamilyParams, n: int) -> list[Fraction]:

@@ -114,14 +114,6 @@ class ExpMonomialSum:
         return ExpMonomialSum(b, out)
 
 
-def derivative(e: ExpMonomialSum) -> ExpMonomialSum:
-    return e.derivative()
-
-
-def euler_shift(e: ExpMonomialSum, c) -> ExpMonomialSum:
-    return e.euler_shift(c)
-
-
 def _nth_derivative(e: ExpMonomialSum, n: int) -> ExpMonomialSum:
     for _ in range(n):
         e = e.derivative()

@@ -35,10 +35,6 @@ class QPolynomial:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c: Fraction | int) -> "QPolynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, k: int, coeff: Fraction | int = 1) -> "QPolynomial":
         if k < 0:
             raise ValueError(f"monomial exponent must be >= 0, got {k}")

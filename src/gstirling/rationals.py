@@ -4,7 +4,7 @@ Every quantity downstream (coefficient triangles, polynomial families,
 series oracles) is computed over arbitrary-precision rationals so that
 identity checks are exact, never approximate.  ``fractions.Fraction``
 already gives lowest-terms storage with a positive denominator, so it is
-the Rational type; this module adds the wire format, the integer kernels'
+used as is; this module adds the wire format, the integer kernels'
 scale and the rising / falling factorials of every coefficient formula.
 """
 
@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, lcm
-
-Rational = Fraction
+from math import lcm
 
 _WIRE_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
@@ -75,10 +73,3 @@ def falling(a: Fraction | int, n: int) -> Fraction:
     for i in range(n):
         out *= a - i
     return out
-
-
-def binom(a: Fraction | int, k: int) -> Fraction:
-    """Generalized binomial coefficient falling(a, k) / k!."""
-    if k < 0:
-        raise ValueError(f"binomial coefficient needs k >= 0, got {k}")
-    return falling(a, k) / factorial(k)

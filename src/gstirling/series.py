@@ -9,7 +9,7 @@ base with no constant term, comes from one column extraction, ``columns``:
 C_k = head * base**k / k! has no t-power below k, and its u-form entry n is
 L**n times entry (n, k).  The family's case is head = (1-t)**alpha,
 base = (1-t)**beta - 1 at L = d; the partial (r-)Bell values in ``stirling``
-are another.  ``binomial_series`` and ``series_mul`` work on ``Fraction``s.
+are another.
 """
 
 from __future__ import annotations
@@ -21,30 +21,6 @@ from operator import mul
 
 from .qpoly import QPolynomial
 from .rationals import common_scale
-
-
-def binomial_series(a: Fraction | int, order: int) -> tuple[Fraction, ...]:
-    """(1 - t)**a truncated; the t**n coefficient is rising(-a, n)/n!."""
-    a = Fraction(a)
-    coeffs = []
-    c = Fraction(1)
-    for n in range(order + 1):
-        coeffs.append(c)
-        c = c * (n - a) / (n + 1)
-    return tuple(coeffs)
-
-
-def series_mul(s1: tuple, s2: tuple) -> tuple[Fraction, ...]:
-    """Truncated Cauchy product; the operands must share one order."""
-    if len(s1) != len(s2):
-        raise ValueError(f"mismatched series orders: {len(s1) - 1} vs {len(s2) - 1}")
-    out = [Fraction(0)] * len(s1)
-    for i, a in enumerate(s1):
-        if a:
-            for j, b in enumerate(s2[: len(s1) - i]):
-                if b:
-                    out[i + j] += a * b
-    return tuple(out)
 
 
 def u_binomial(p: int, scale: int, order: int) -> list[int]:

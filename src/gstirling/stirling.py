@@ -229,11 +229,6 @@ def partial_r_bell(r: int, n: int, k: int, a: Sequence, b: Sequence = ()) -> Fra
     return partial_r_bell_rows(r, n, a if k else [0] * n, b)[n][k]
 
 
-def partial_bell(n: int, k: int, a: Sequence) -> Fraction:
-    """Partial Bell polynomial B(n, k) at the coefficient sequence a_1..a_n."""
-    return partial_r_bell(0, n, k, a)
-
-
 def verify_rbell_connection(alpha, beta, r: int, nmax: int) -> bool:
     """Check that the triangle at (r*alpha, beta) equals the partial r-Bell
     triangle at rising factorials up to nmax (``partial_r_bell_rows`` checks r, nmax)."""
@@ -315,8 +310,3 @@ def composition_report(alpha, beta, alpha2, beta2, nmax: int) -> CompositionRepo
         outer_sign_ok=outer_ok,
         failures=tuple(failures),
     )
-
-
-def verify_composition(alpha, beta, alpha2, beta2, nmax: int) -> bool:
-    """True iff both composition identities hold with the resolved sign."""
-    return composition_report(alpha, beta, alpha2, beta2, nmax).ok

@@ -69,14 +69,18 @@ def _chain_signs(chain: tuple[tuple[int, ...], ...], num: int, den: int) -> tupl
     return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
 
 
+def _divide_gcd(p: QPolynomial, last: tuple[int, ...]) -> QPolynomial:
+    """p divided by ``last``, the last member of p's chain."""
+    if len(last) == 1:
+        return p
+    return poly_divexact(p, QPolynomial(Fraction(c, last[-1]) for c in last))
+
+
 def square_free_part(p: QPolynomial) -> QPolynomial:
     """p divided by gcd(p, p'): same distinct roots, all simple."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no square-free part")
-    last = sturm_chain(p)[-1]
-    if len(last) == 1:
-        return p
-    return poly_divexact(p, QPolynomial(Fraction(c, last[-1]) for c in last))
+    return _divide_gcd(p, sturm_chain(p)[-1])
 
 
 def _count_distinct(chain: tuple[tuple[int, ...], ...]) -> int:
@@ -121,10 +125,15 @@ def isolate_roots(
     chain = sturm_chain(p)
     if len(chain[-1]) > 1:
         raise ValueError("root isolation requires square-free input")
+    return _isolate(chain, max_width)
+
+
+def _isolate(chain: tuple[tuple[int, ...], ...], max_width) -> list[tuple[Fraction, Fraction]]:
+    """``isolate_roots`` on the chain of a square-free polynomial."""
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError(f"max_width must be > 0, got {max_width}")
-    if p.degree < 1:
+    if len(chain[0]) < 2:
         return []
 
     # Points are lo/den, hi/den and mid/den with one shared den > 0; halving
@@ -178,18 +187,6 @@ def isolate_roots(
     v_hi, s_hi = _chain_signs(chain, num, den)
     split(-num, num, den, v_lo, s_hi, v_lo - v_hi)
     return found
-
-
-def count_roots_between(p: QPolynomial, a: Fraction, b: Fraction) -> int:
-    """Distinct roots of p in the half-open interval (a, b], for a <= b."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no root count")
-    a, b = Fraction(a), Fraction(b)
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    chain = sturm_chain(square_free_part(p))
-    v_a, v_b = (_chain_signs(chain, x.numerator, x.denominator)[0] for x in (a, b))
-    return v_a - v_b
 
 
 def classify_region(alpha, beta) -> str:
@@ -271,9 +268,14 @@ def region_report(
     asserted = asserted_degrees(params.alpha, params.beta, nmax)
     rows = []
     for n in range(1, nmax + 1):
-        # q has p's roots, all simple: one interval per distinct real root
-        q = square_free_part(poly(params, n))
-        roots = tuple(isolate_roots(q, max_width))
+        # q has p's roots, all simple: one interval per distinct real root.
+        # For square-free p, q is p and p's chain serves both steps.
+        q = poly(params, n)
+        chain = sturm_chain(q)
+        if len(chain[-1]) > 1:
+            q = _divide_gcd(q, chain[-1])
+            chain = sturm_chain(q)
+        roots = tuple(_isolate(chain, max_width))
         rows.append(
             RegionRow(
                 n=n,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling import cli, suite
+from gstirling import cli, family, suite
 from gstirling.rationals import format_rational, parse_rational
 from gstirling.stirling import gstirling_table
 
@@ -147,13 +147,19 @@ def test_eval_rejects_non_finite_epsilon(capsys, epsilon):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n,x", [("180", "3"), ("1", "-710")])
-def test_eval_overflow_is_a_usage_error(capsys, n, x):
-    code, out, err = run_cli(
-        capsys, "eval", "--alpha", "1/2", "--beta", "-1", "--n", n, "--x", x
+@pytest.mark.parametrize("n,x", [("180", "3"), ("1", "-710"), ("200", "0")])
+def test_eval_past_the_float_route_exits_zero(capsys, n, x):
+    # exp(-x) or the exact sum leaves the float range on the way
+    code, out, _ = run_cli(
+        capsys, "eval", "--alpha", "1/2", "--beta", "-1", "--n", n, "--x", x, "--format", "json"
     )
-    assert code == 2 and out == ""
-    assert err.startswith("error: OverflowError")
+    assert code == 0
+    payload = json.loads(out)
+    exact = family.poly(family.FamilyParams(F(1, 2), F(-1)), int(n))(F(x))
+    assert parse_rational(payload["exact"]) == exact
+    # a float in range, else a string of 17 significant digits
+    series = F(payload["series"])
+    assert abs(series - exact) <= abs(exact) * F(1, 10**12)
 
 
 def test_zeros_json_report(capsys):
@@ -417,8 +423,7 @@ def test_output_file_matches_stdout(tmp_path, capsys, argv):
 def test_output_file_is_not_created_when_the_command_fails(tmp_path, capsys):
     target = tmp_path / "value.txt"
     code, out, _ = run_cli(
-        capsys, "eval", "--alpha", "1/2", "--beta", "-1", "--n", "180", "--x", "3",
-        "--output", str(target),
+        capsys, "table", "--alpha", "0", "--beta", "0", "--nmax", "2", "--output", str(target)
     )
     assert code == 2 and out == ""
     assert not target.exists()

@@ -26,7 +26,7 @@ from gstirling.family import (
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
 from gstirling.series import gf_polynomials
-from gstirling.stirling import lah, partial_bell, stirling1
+from gstirling.stirling import lah, partial_r_bell, stirling1
 
 F = Fraction
 PAIRS = [
@@ -302,7 +302,7 @@ def test_assoc_lah_coefficients_are_partial_bell_values():
     for n in range(7):
         p = family_assoc_lah(m, n)
         for k in range(n + 1):
-            assert p.coeff(k) == partial_bell(n, k, a_seq)
+            assert p.coeff(k) == partial_r_bell(0, n, k, a_seq)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ The explicit sum, ``family.addition``, the column extraction behind
 ``series.gf_rows`` and ``stirling.partial_r_bell_rows``, and the
 gf-derivative check run on integers too.  Each is compared with a
 ``Fraction`` transcription of the loop it replaced, kept below as an
-oracle.  Each property runs on a seeded ``random.Random`` draw and, when
-hypothesis is installed, on its draws too.
+oracle, together with ``binomial_series`` and ``series_mul``, the
+``Fraction`` series helpers those loops used (test_series.py tests them).
+Each property runs on a seeded ``random.Random`` draw and, when hypothesis
+is installed, on its draws too.
 """
 
 import math
@@ -26,7 +28,6 @@ from gstirling import series, stirling
 from gstirling.family import FamilyParams, addition, eval_dobinski
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.series import binomial_series, series_mul
 from gstirling.stirling import gstirling_explicit, triangle_rows
 
 F = Fraction
@@ -163,6 +164,30 @@ def test_kernels_on_hypothesis_draws(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Fraction oracles: the loops the integer kernels replaced
+
+
+def binomial_series(a, order):
+    """(1 - t)**a truncated; the t**n coefficient is rising(-a, n)/n!."""
+    a = Fraction(a)
+    coeffs = []
+    c = Fraction(1)
+    for n in range(order + 1):
+        coeffs.append(c)
+        c = c * (n - a) / (n + 1)
+    return tuple(coeffs)
+
+
+def series_mul(s1, s2):
+    """Truncated Cauchy product; the operands must share one order."""
+    if len(s1) != len(s2):
+        raise ValueError(f"mismatched series orders: {len(s1) - 1} vs {len(s2) - 1}")
+    out = [Fraction(0)] * len(s1)
+    for i, a in enumerate(s1):
+        if a:
+            for j, b in enumerate(s2[: len(s1) - i]):
+                if b:
+                    out[i + j] += a * b
+    return tuple(out)
 
 
 def _explicit_fractions(alpha, beta, n, k):

@@ -5,8 +5,6 @@ import pytest
 from gstirling import stirling
 from gstirling.operators import (
     ExpMonomialSum,
-    derivative,
-    euler_shift,
     verify_bell_operator,
     verify_rodrigues_first,
     verify_rodrigues_second,
@@ -31,12 +29,12 @@ def test_terms_normalize():
 
 def test_derivative_of_empty_sum():
     empty = ExpMonomialSum(2)
-    assert derivative(empty) == empty
+    assert empty.derivative() == empty
 
 
 def test_derivative_of_plain_exponential():
     e = ExpMonomialSum.monomial(1, 0)  # exp(x)
-    assert derivative(e) == e
+    assert e.derivative() == e
 
 
 def test_derivative_term_rule():
@@ -46,16 +44,16 @@ def test_derivative_term_rule():
     expected = ExpMonomialSum(
         F(-1, 2), ((F(-1, 2), F(1, 2)), (F(-1), F(-1, 2)))
     )
-    assert derivative(e) == expected
+    assert e.derivative() == expected
 
 
 def test_euler_shift_base_cases():
     beta = F(3)
     e = ExpMonomialSum.monomial(beta, 0)
-    assert euler_shift(e, 0) == ExpMonomialSum.monomial(beta, beta, beta)
+    assert e.euler_shift(0) == ExpMonomialSum.monomial(beta, beta, beta)
     gamma = F(5, 7)
     e = ExpMonomialSum.monomial(beta, gamma)
-    assert euler_shift(e, 0) == ExpMonomialSum(
+    assert e.euler_shift(0) == ExpMonomialSum(
         beta, ((gamma, gamma), (gamma + beta, beta))
     )
 
@@ -64,9 +62,9 @@ def test_euler_shift_iterated_fixture():
     # (x d/dx - 1/2)^2 on x * exp(x^2), worked by hand:
     # first pass: (1/2) x + 2 x^3; second: (1/4) x + 6 x^3 + 4 x^5
     e = ExpMonomialSum.monomial(2, 1)
-    once = euler_shift(e, F(-1, 2))
+    once = e.euler_shift(F(-1, 2))
     assert once == ExpMonomialSum(2, ((1, F(1, 2)), (3, 2)))
-    twice = euler_shift(once, F(-1, 2))
+    twice = once.euler_shift(F(-1, 2))
     assert twice == ExpMonomialSum(2, ((1, F(1, 4)), (3, 6), (5, 4)))
 
 
@@ -74,7 +72,7 @@ def test_derivative_closure_term_count():
     for beta in (F(2), F(-1, 2), F(5, 3)):
         e = ExpMonomialSum.monomial(beta, F(1, 3))
         for n in range(1, 9):
-            e = derivative(e)
+            e = e.derivative()
             assert len(e.terms()) <= n + 1
 
 
@@ -85,12 +83,12 @@ def test_euler_operator_expansion_identity(gamma, beta, d):
     seed = ExpMonomialSum.monomial(beta, gamma)
     rhs = seed
     for _ in range(d):
-        rhs = euler_shift(rhs, 0)
+        rhs = rhs.euler_shift(0)
     lhs = ExpMonomialSum(beta)
     for k in range(d + 1):
         e = seed
         for _ in range(k):
-            e = derivative(e)
+            e = e.derivative()
         lhs = lhs + e.xshift(k).scale(stirling2(d, k))
     assert lhs == rhs
 

@@ -5,7 +5,6 @@ import pytest
 
 from gstirling.rationals import (
     WireFormatError,
-    binom,
     falling,
     format_rational,
     parse_rational,
@@ -44,7 +43,6 @@ def test_format_normalizes():
 def test_empty_products(a):
     assert rising(a, 0) == 1
     assert falling(a, 0) == 1
-    assert binom(a, 0) == 1
 
 
 def test_known_values():
@@ -52,8 +50,6 @@ def test_known_values():
     assert rising(-2, 2) == 2
     assert falling(3, 3) == 6
     assert falling(Fraction(1, 2), 2) == Fraction(-1, 4)
-    assert binom(5, 2) == 10
-    assert binom(Fraction(1, 2), 2) == Fraction(-1, 8)
 
 
 @pytest.mark.parametrize("a", GRID)
@@ -74,5 +70,3 @@ def test_negative_n_rejected():
         rising(1, -1)
     with pytest.raises(ValueError):
         falling(1, -2)
-    with pytest.raises(ValueError):
-        binom(1, -1)

@@ -6,12 +6,8 @@ import pytest
 from gstirling import stirling
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.series import (
-    binomial_series,
-    gf_polynomials,
-    series_mul,
-    verify_gf_derivative,
-)
+from gstirling.series import gf_polynomials, verify_gf_derivative
+from test_kernels import binomial_series, series_mul
 
 F = Fraction
 PAIRS = [
