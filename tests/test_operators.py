@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling import stirling
+from gstirling import operators, stirling
 from gstirling.operators import (
     ExpMonomialSum,
     verify_bell_operator,
@@ -120,6 +120,28 @@ def test_rodrigues_second_base_case():
 @pytest.mark.parametrize("n", range(7))
 def test_rodrigues_second_examples(alpha, beta, n):
     assert verify_rodrigues_second(alpha, beta, n)
+
+
+def _bump_row_3(monkeypatch):
+    """Make the triangle seen by the operators module wrong at S(3, 1) only."""
+    right = operators.triangle_rows
+
+    def wrong(alpha, beta, nmax):
+        rows = right(alpha, beta, nmax)
+        if nmax < 3:
+            return rows
+        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
+        return rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(operators, "triangle_rows", wrong)
+
+
+@pytest.mark.parametrize("verify", [verify_rodrigues_first, verify_rodrigues_second])
+def test_rodrigues_detects_a_wrong_triangle_entry(monkeypatch, verify):
+    _bump_row_3(monkeypatch)
+    alpha, beta = F(-1, 2), F(-1, 2)
+    assert verify(alpha, beta, 2)
+    assert not verify(alpha, beta, 3)
 
 
 def test_rodrigues_rejects_zero_beta():
