@@ -31,10 +31,6 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -44,7 +40,7 @@ def _rational(text: str) -> Fraction:
 
 def _nonzero_beta(value: Fraction) -> Fraction:
     if value == 0:
-        raise UsageError("beta must be nonzero")
+        raise ValueError("beta must be nonzero")
     return value
 
 
@@ -166,11 +162,11 @@ def run_eval(args) -> int:
     try:
         epsilon = float(args.epsilon)
     except ValueError:
-        raise UsageError(f"epsilon must be a decimal string, got {args.epsilon!r}")
+        raise ValueError(f"epsilon must be a decimal string, got {args.epsilon!r}")
     if not isfinite(epsilon):
-        raise UsageError(f"--epsilon must be finite, got {args.epsilon}")
+        raise ValueError(f"--epsilon must be finite, got {args.epsilon}")
     if epsilon <= 0:
-        raise UsageError(f"epsilon must be > 0, got {args.epsilon}")
+        raise ValueError(f"epsilon must be > 0, got {args.epsilon}")
     params = family.FamilyParams(args.alpha, args.beta)
     value = family.eval_dobinski(params, args.n, args.x, epsilon)
     exact = family.poly(params, args.n)(args.x)
@@ -238,7 +234,7 @@ def run_family(args) -> int:
         note = LAGUERRE_NOTE
     else:
         if args.m < 1:
-            raise UsageError(f"--m must be a positive integer, got {args.m}")
+            raise ValueError(f"--m must be a positive integer, got {args.m}")
         p = family.family_assoc_lah(args.m, args.n)
         extra["m"] = args.m
     _emit(_poly_output(p, args.format, extra, note), args.output)

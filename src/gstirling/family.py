@@ -277,25 +277,27 @@ def family_assoc_lah(m: int, n: int) -> QPolynomial:
 
 @dataclass(frozen=True)
 class RisingExpansion:
-    """Both sides of the rising-into-falling factorial expansion."""
+    """Both sides of the rising-into-falling factorial expansion, indexed by n."""
 
-    lhs: QPolynomial
-    rhs: QPolynomial
+    lhs: tuple[QPolynomial, ...]
+    rhs: tuple[QPolynomial, ...]
 
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
 
-def rising_expansion(params: FamilyParams, n: int) -> RisingExpansion:
+def rising_expansion(params: FamilyParams, nmax: int) -> RisingExpansion:
     """Expand rising(-alpha - beta*x, n) and sum_j S(n, j) * falling(x, j)
-    into polynomials in x and report both sides."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    into polynomials in x for every n <= nmax and report both sides;
+    degree n multiplies one more linear factor onto degree n-1."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     a, b = params.alpha, params.beta
-    lhs = linear_products((-a + i, -b) for i in range(n))[-1]
-    falling = linear_products((-j, 1) for j in range(n))
-    return RisingExpansion(lhs, combine(triangle_rows(a, b, n)[n], falling))
+    lhs = linear_products((-a + i, -b) for i in range(nmax))
+    falling = linear_products((-j, 1) for j in range(nmax))
+    rhs = (combine(row, falling) for row in triangle_rows(a, b, nmax))
+    return RisingExpansion(tuple(lhs), tuple(rhs))
 
 
 @dataclass(frozen=True)

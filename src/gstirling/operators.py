@@ -114,12 +114,6 @@ class ExpMonomialSum:
         return ExpMonomialSum(b, out)
 
 
-def _nth_derivative(e: ExpMonomialSum, n: int) -> ExpMonomialSum:
-    for _ in range(n):
-        e = e.derivative()
-    return e
-
-
 def _expansion_crosscheck(e: ExpMonomialSum, alpha: Fraction, n: int, kmax: int) -> bool:
     """Cross-check e = (d/dx)**n (x**alpha * exp(x**beta)) against the
     termwise derivative of the expanded exponential:
@@ -136,28 +130,33 @@ def _expansion_crosscheck(e: ExpMonomialSum, alpha: Fraction, n: int, kmax: int)
     return True
 
 
-def verify_rodrigues_first(alpha, beta, n: int) -> bool:
-    """Check the derivative representation of the family at x**beta:
+def verify_rodrigues_first(alpha, beta, nmax: int) -> bool:
+    """Check the derivative representation of the family at x**beta for
+    every n <= nmax:
 
     family_n(x**beta) = (-1)**n * x**(n-alpha) * exp(-x**beta)
                         * (d/dx)**n (x**alpha * exp(x**beta)).
 
     Both sides are reduced to exponent maps (the exp factors cancel) and
-    compared exactly; the n-fold derivative is additionally cross-checked
-    against the termwise expansion of the exponential.
+    compared exactly; each n-fold derivative, one derivative on from the
+    last, is additionally cross-checked against the termwise expansion of
+    the exponential.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    e = _nth_derivative(ExpMonomialSum.monomial(beta, alpha), n)
-    if not _expansion_crosscheck(e, alpha, n, n + 2):
-        return False
-    lhs = e.xshift(n - alpha).scale(Fraction(-1) ** n)
-    row = triangle_rows(alpha, beta, n)[n]
-    rhs = ExpMonomialSum(beta, ((beta * k, row[k]) for k in range(n + 1)))
-    return lhs == rhs
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    e = ExpMonomialSum.monomial(beta, alpha)
+    for n, row in enumerate(triangle_rows(alpha, beta, nmax)):
+        if n:
+            e = e.derivative()
+        if not _expansion_crosscheck(e, alpha, n, n + 2):
+            return False
+        lhs = e.xshift(n - alpha).scale(Fraction(-1) ** n)
+        if lhs != ExpMonomialSum(beta, ((beta * k, c) for k, c in enumerate(row))):
+            return False
+    return True
 
 
 def verify_rodrigues_second(alpha, beta, n: int) -> bool:
@@ -171,15 +170,18 @@ def verify_rodrigues_second(alpha, beta, n: int) -> bool:
         raise ValueError("the family requires beta != 0")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    e = _nth_derivative(ExpMonomialSum.monomial(-beta, n - 1 - alpha), n)
+    e = ExpMonomialSum.monomial(-beta, n - 1 - alpha)
+    for _ in range(n):
+        e = e.derivative()
     lhs = e.xshift(alpha + 1)
     row = triangle_rows(alpha, beta, n)[n]
     rhs = ExpMonomialSum(-beta, ((-beta * k, row[k]) for k in range(n + 1)))
     return lhs == rhs
 
 
-def verify_bell_operator(alpha, beta, lam, n: int) -> bool:
-    """Check the Euler-operator representation of shifted Bell polynomials:
+def verify_bell_operator(alpha, beta, lam, nmax: int) -> bool:
+    """Check the Euler-operator representation of shifted Bell polynomials
+    for every n <= nmax:
 
     sum_j C(n, j) * lam**(n-j) * Bell_j(x**beta)
         = x**(-alpha) * exp(-x**beta)
@@ -189,7 +191,8 @@ def verify_bell_operator(alpha, beta, lam, n: int) -> bool:
     (k + lam)**n instead of k**n) evaluated at x**beta; at lam = 0 it is
     the plain Bell polynomial.  The identity follows by conjugating the
     operator with x**alpha and substituting y = x**beta, which turns it
-    into (y*d/dy + lam)**n acting on exp(y).
+    into (y*d/dy + lam)**n acting on exp(y).  Degree n applies the
+    operator once more to degree n-1's right side.
 
     The printed source states this with two misprints (the 1/beta factor
     missing from the operator, and the left side written as a Bell
@@ -200,18 +203,17 @@ def verify_bell_operator(alpha, beta, lam, n: int) -> bool:
     alpha, beta, lam = Fraction(alpha), Fraction(beta), Fraction(lam)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
 
+    bells = [bell_poly(j) for j in range(nmax + 1)]
     e = ExpMonomialSum.monomial(beta, alpha)
     inv_beta = 1 / beta
-    for _ in range(n):
-        e = e.euler_shift(lam * beta - alpha).scale(inv_beta)
-    rhs = e.xshift(-alpha)
-
-    shifted_bell = combine(
-        [comb(n, j) * lam ** (n - j) for j in range(n + 1)],
-        [bell_poly(j) for j in range(n + 1)],
-    )
-    lhs = ExpMonomialSum(beta, ((beta * i, c) for i, c in enumerate(shifted_bell.coefficients)))
-    return lhs == rhs
+    for n in range(nmax + 1):
+        if n:
+            e = e.euler_shift(lam * beta - alpha).scale(inv_beta)
+        shifted_bell = combine([comb(n, j) * lam ** (n - j) for j in range(n + 1)], bells)
+        lhs = ExpMonomialSum(beta, ((beta * i, c) for i, c in enumerate(shifted_bell.coefficients)))
+        if lhs != e.xshift(-alpha):
+            return False
+    return True

@@ -71,10 +71,6 @@ class CheckResult:
         return f"{status} {self.identity} {self.detail}"
 
 
-class SuiteUsageError(ValueError):
-    """Bad or missing parameters for a verification request."""
-
-
 def _pair(alpha: Fraction, beta: Fraction) -> str:
     return f"alpha={alpha} beta={beta}"
 
@@ -199,21 +195,14 @@ def gf_derivative_ok(
 
 
 def rodrigues_ok(alpha: Fraction, beta: Fraction, nmax: int = 6) -> bool:
-    for n in range(nmax + 1):
-        if not operators.verify_rodrigues_first(alpha, beta, n):
-            return False
-        if not operators.verify_rodrigues_second(alpha, beta, n):
-            return False
-    return True
+    return operators.verify_rodrigues_first(alpha, beta, nmax) and all(
+        operators.verify_rodrigues_second(alpha, beta, n) for n in range(nmax + 1)
+    )
 
 
 def bell_operator_ok(alpha: Fraction, beta: Fraction, nmax: int = 5) -> bool:
     lams = (Fraction(0), Fraction(1), alpha / beta)
-    for lam in lams:
-        for n in range(nmax + 1):
-            if not operators.verify_bell_operator(alpha, beta, lam, n):
-                return False
-    return True
+    return all(operators.verify_bell_operator(alpha, beta, lam, nmax) for lam in lams)
 
 
 def rebase_roundtrip_ok(source, target, nmax: int = 6) -> bool:
@@ -396,8 +385,11 @@ def _rodrigues(pairs, nmax, mode):
         if mode != "pair":
             yield f"{_pair(a, b)} n<={nmax}", rodrigues_ok(a, b, nmax)
             continue
+        # line n re-walks the first route only when it failed somewhere
+        # up to nmax, so every line from its first failing degree fails
+        first_ok = operators.verify_rodrigues_first(a, b, nmax)
         for n in range(nmax + 1):
-            ok = operators.verify_rodrigues_first(a, b, n) and (
+            ok = (first_ok or operators.verify_rodrigues_first(a, b, n)) and (
                 operators.verify_rodrigues_second(a, b, n)
             )
             yield f"{_pair(a, b)} n={n}", ok
@@ -405,13 +397,13 @@ def _rodrigues(pairs, nmax, mode):
 
 def _bell_operator(pairs, nmax, mode, lam=None):
     if lam is not None and mode != "pair":
-        raise SuiteUsageError("bell-operator --lambda needs --alpha and --beta")
+        raise ValueError("bell-operator --lambda needs --alpha and --beta")
     for a, b in pairs:
         if mode != "pair":
             yield f"{_pair(a, b)} n<={nmax}", bell_operator_ok(a, b, nmax)
             continue
         for lv in (Fraction(lam),) if lam is not None else (Fraction(0), Fraction(1), a / b):
-            ok = all(operators.verify_bell_operator(a, b, lv, n) for n in range(nmax + 1))
+            ok = operators.verify_bell_operator(a, b, lv, nmax)
             yield f"{_pair(a, b)} lambda={lv} n<={nmax}", ok
 
 
@@ -419,12 +411,12 @@ def _second_pair(name, mode, alpha2, beta2):
     """--alpha2/--beta2 on one pair; None on the grid, which uses a fixed sample."""
     if mode != "pair":
         if alpha2 is not None or beta2 is not None:
-            raise SuiteUsageError(f"a {name} target also needs --alpha and --beta")
+            raise ValueError(f"a {name} target also needs --alpha and --beta")
         return None
     if alpha2 is None or beta2 is None:
-        raise SuiteUsageError(f"{name} needs --alpha2 and --beta2 for the second pair")
+        raise ValueError(f"{name} needs --alpha2 and --beta2 for the second pair")
     if beta2 == 0:
-        raise SuiteUsageError("beta2 must be nonzero")
+        raise ValueError("beta2 must be nonzero")
     return Fraction(alpha2), Fraction(beta2)
 
 
@@ -458,8 +450,7 @@ def _composition(pairs, nmax, mode, alpha2=None, beta2=None):
 
 def _rising_expansion(pairs, nmax, mode):
     for a, b in pairs:
-        params = family.FamilyParams(a, b)
-        ok = all(family.rising_expansion(params, n).equal for n in range(nmax + 1))
+        ok = family.rising_expansion(family.FamilyParams(a, b), nmax).equal
         yield f"{_pair(a, b)} n<={nmax}", ok
 
 
@@ -476,7 +467,7 @@ def _log_concave(pairs, nmax, mode):
         if a <= 0 and b < 0:
             yield f"{_pair(a, b)} n<={max(nmax, 2)}", log_concave_ok(a, b, max(nmax, 2))
         elif mode == "pair":
-            raise SuiteUsageError("log-concavity is only claimed for alpha <= 0 and beta < 0")
+            raise ValueError("log-concavity is only claimed for alpha <= 0 and beta < 0")
 
 
 def _specializations(pairs, nmax, mode):
@@ -540,7 +531,7 @@ def given_options(owner: str, flags: tuple[str, ...], options: dict) -> dict:
     for key in given:
         if key not in flags:
             flag = "--lambda" if key == "lam" else f"--{key}"
-            raise SuiteUsageError(f"{owner} does not take {flag}")
+            raise ValueError(f"{owner} does not take {flag}")
     return given
 
 
@@ -567,15 +558,15 @@ def single_results(identity: str, nmax=None, **options) -> tuple[list[CheckResul
     check = next((c for c in CHECKS if c.name == ALIASES.get(identity, identity)), None)
     if check is None:
         known = ", ".join(IDENTITY_NAMES)
-        raise SuiteUsageError(f"unknown identity {identity!r}; choose from: {known}")
+        raise ValueError(f"unknown identity {identity!r}; choose from: {known}")
     options = given_options(f"identity {check.name}", check.flags, options)
     alpha, beta = options.pop("alpha", None), options.pop("beta", None)
     if (alpha is None) != (beta is None):
-        raise SuiteUsageError("provide both --alpha and --beta, or neither")
+        raise ValueError("provide both --alpha and --beta, or neither")
     if beta is not None and Fraction(beta) == 0:
-        raise SuiteUsageError("beta must be nonzero")
+        raise ValueError("beta must be nonzero")
     if nmax is not None and nmax < 0:
-        raise SuiteUsageError(f"nmax must be >= 0, got {nmax}")
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     if alpha is None:
         pairs, mode = GRID, "grid"
     else:

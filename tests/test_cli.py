@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling import cli, family, suite
+from gstirling import cli, family, operators, suite
 from gstirling.rationals import format_rational, parse_rational
 from gstirling.stirling import gstirling_table
 
@@ -383,6 +383,31 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert code == 3
     assert "FAIL rodrigues" in out
     assert out.splitlines()[-1].endswith("failures=63")
+
+
+def test_verify_rodrigues_pair_fails_from_the_wrong_degree_on(capsys, monkeypatch):
+    right = operators.triangle_rows
+
+    def wrong(alpha, beta, nmax):
+        rows = right(alpha, beta, nmax)
+        if nmax < 3:
+            return rows
+        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
+        return rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(operators, "triangle_rows", wrong)
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "rodrigues", "--alpha", "-1/2", "--beta", "-1/2",
+        "--nmax", "5",
+    )
+    assert code == 3
+    assert out.splitlines() == [
+        f"{'PASS' if n < 3 else 'FAIL'} rodrigues alpha=-1/2 beta=-1/2 n={n}" for n in range(6)
+    ] + ["# checks=6 failures=3"]
+    # lines 4 and 5 fail through the first route, which walks past degree 3
+    half = F(-1, 2)
+    assert operators.verify_rodrigues_second(half, half, 4)
+    assert operators.verify_rodrigues_second(half, half, 5)
 
 
 def test_output_file_and_io_error(tmp_path, capsys):

@@ -312,10 +312,11 @@ def test_assoc_lah_coefficients_are_partial_bell_values():
 def test_rising_expansion_base_cases():
     params = FamilyParams(F("2/3"), F(-2))
     rep0 = rising_expansion(params, 0)
-    assert rep0.equal and rep0.lhs == QPolynomial.one()
+    assert rep0.equal and rep0.lhs == (QPolynomial.one(),)
     rep1 = rising_expansion(params, 1)
     assert rep1.equal
-    assert rep1.lhs == QPolynomial((-params.alpha, -params.beta))
+    assert rep1.lhs == (QPolynomial.one(), QPolynomial((-params.alpha, -params.beta)))
+    assert rep1.rhs == rep1.lhs
 
 
 def test_rising_expansion_example():
@@ -325,8 +326,8 @@ def test_rising_expansion_example():
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_rising_expansion_grid(params):
-    for n in range(9):
-        assert rising_expansion(params, n).equal
+    rep = rising_expansion(params, 8)
+    assert rep.equal and len(rep.lhs) == len(rep.rhs) == 9
 
 
 def test_rising_expansion_detects_a_wrong_triangle_entry(monkeypatch):
@@ -341,5 +342,10 @@ def test_rising_expansion_detects_a_wrong_triangle_entry(monkeypatch):
 
     monkeypatch.setattr(family, "triangle_rows", wrong)
     params = FamilyParams(F(1, 2), F(-3))
-    assert rising_expansion(params, 2).equal
-    assert not rising_expansion(params, 3).equal
+    for nmax in range(3):
+        assert rising_expansion(params, nmax).equal
+    for nmax in range(3, 7):
+        rep = rising_expansion(params, nmax)
+        assert not rep.equal
+        # only degree 3 differs
+        assert [n for n in range(nmax + 1) if rep.lhs[n] != rep.rhs[n]] == [3]

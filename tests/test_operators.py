@@ -144,6 +144,17 @@ def test_rodrigues_detects_a_wrong_triangle_entry(monkeypatch, verify):
     assert not verify(alpha, beta, 3)
 
 
+def test_rodrigues_first_walk_fails_from_the_wrong_degree_on(monkeypatch):
+    # the first route checks every degree up to nmax, the second only nmax
+    _bump_row_3(monkeypatch)
+    alpha, beta = F(-1, 2), F(-1, 2)
+    for nmax in range(3):
+        assert verify_rodrigues_first(alpha, beta, nmax)
+    for nmax in range(3, 7):
+        assert not verify_rodrigues_first(alpha, beta, nmax)
+        assert verify_rodrigues_second(alpha, beta, nmax) == (nmax != 3)
+
+
 def test_rodrigues_rejects_zero_beta():
     with pytest.raises(ValueError):
         verify_rodrigues_first(1, 0, 1)
@@ -196,8 +207,10 @@ def test_bell_operator_detects_a_wrong_stirling_number(monkeypatch):
         return rows[:3] + (bumped,) + rows[4:]
 
     monkeypatch.setattr(stirling, "_stirling_rows", wrong)
-    assert verify_bell_operator(F(1), F(2), F(1, 2), 2)
-    assert not verify_bell_operator(F(1), F(2), F(1, 2), 3)
+    for nmax in range(3):
+        assert verify_bell_operator(F(1), F(2), F(1, 2), nmax)
+    for nmax in range(3, 7):
+        assert not verify_bell_operator(F(1), F(2), F(1, 2), nmax)
 
 
 def test_bell_operator_rejects_zero_beta():
