@@ -40,7 +40,7 @@ from .rationals import (
     parse_rational,
     rising,
 )
-from .series import gf_polynomials, verify_gf_derivative
+from .series import verify_gf_derivative
 from .stirling import (
     CompositionReport,
     GStirlingTable,
@@ -62,7 +62,6 @@ from .zeros import (
     all_roots_real,
     check_newton_logconcave,
     classify_region,
-    count_real_roots,
     isolate_roots,
     region_report,
     square_free_part,

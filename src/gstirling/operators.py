@@ -130,7 +130,7 @@ def _expansion_crosscheck(e: ExpMonomialSum, alpha: Fraction, n: int, kmax: int)
     return True
 
 
-def verify_rodrigues_first(alpha, beta, nmax: int) -> bool:
+def verify_rodrigues_first(alpha, beta, nmax: int) -> tuple[bool, ...]:
     """Check the derivative representation of the family at x**beta for
     every n <= nmax:
 
@@ -140,7 +140,8 @@ def verify_rodrigues_first(alpha, beta, nmax: int) -> bool:
     Both sides are reduced to exponent maps (the exp factors cancel) and
     compared exactly; each n-fold derivative, one derivative on from the
     last, is additionally cross-checked against the termwise expansion of
-    the exponential.
+    the exponential.  Entry n of the result is degree n's verdict: the
+    derivatives never read the triangle, so it depends on row n alone.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
@@ -148,35 +149,41 @@ def verify_rodrigues_first(alpha, beta, nmax: int) -> bool:
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     e = ExpMonomialSum.monomial(beta, alpha)
+    verdicts = []
     for n, row in enumerate(triangle_rows(alpha, beta, nmax)):
         if n:
             e = e.derivative()
-        if not _expansion_crosscheck(e, alpha, n, n + 2):
-            return False
         lhs = e.xshift(n - alpha).scale(Fraction(-1) ** n)
-        if lhs != ExpMonomialSum(beta, ((beta * k, c) for k, c in enumerate(row))):
-            return False
-    return True
+        rhs = ExpMonomialSum(beta, ((beta * k, c) for k, c in enumerate(row)))
+        verdicts.append(_expansion_crosscheck(e, alpha, n, n + 2) and lhs == rhs)
+    return tuple(verdicts)
 
 
-def verify_rodrigues_second(alpha, beta, n: int) -> bool:
-    """Check the companion representation at x**(-beta):
+def verify_rodrigues_second(alpha, beta, nmax: int) -> tuple[bool, ...]:
+    """Check the companion representation at x**(-beta) for every n <= nmax:
 
-    family_n(x**(-beta)) = x**(alpha+1) * exp(-x**(-beta))
-                           * (d/dx)**n (x**(n-1-alpha) * exp(x**(-beta))).
+    family_n(x**(-beta)) = x**(alpha+1) * exp(-x**(-beta)) * E_n,
+    E_n = (d/dx)**n g_n,  g_n = x**(n-1-alpha) * exp(x**(-beta)).
+
+    Since g_{n+1} = x * g_n, Leibniz gives (d/dx)**(n+1) (x * g)
+    = x * (d/dx)**(n+1) g + (n+1) * (d/dx)**n g, so
+    E_{n+1} = (x*d/dx + n + 1) E_n: degree n is one Euler step on from
+    degree n-1.  Entry n of the result is degree n's verdict; E_n never
+    reads the triangle, so it depends on row n alone.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    e = ExpMonomialSum.monomial(-beta, n - 1 - alpha)
-    for _ in range(n):
-        e = e.derivative()
-    lhs = e.xshift(alpha + 1)
-    row = triangle_rows(alpha, beta, n)[n]
-    rhs = ExpMonomialSum(-beta, ((-beta * k, row[k]) for k in range(n + 1)))
-    return lhs == rhs
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    e = ExpMonomialSum.monomial(-beta, -1 - alpha)
+    verdicts = []
+    for n, row in enumerate(triangle_rows(alpha, beta, nmax)):
+        if n:
+            e = e.euler_shift(n)
+        rhs = ExpMonomialSum(-beta, ((-beta * k, c) for k, c in enumerate(row)))
+        verdicts.append(e.xshift(alpha + 1) == rhs)
+    return tuple(verdicts)
 
 
 def verify_bell_operator(alpha, beta, lam, nmax: int) -> bool:

@@ -19,7 +19,6 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .qpoly import QPolynomial
 from .rationals import common_scale
 
 
@@ -70,19 +69,6 @@ def gf_rows(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     d, a, b = common_scale(alpha, beta)
     return column_rows(u_binomial(a, d, nmax), [0] + u_binomial(b, d, nmax)[1:], d)
-
-
-def gf_polynomials(alpha, beta, nmax: int) -> list[QPolynomial]:
-    """Polynomials read off the family's generating function.
-
-    Entry n is n! times the t**n coefficient of the expanded generating
-    function; its x**k coefficient is n! * C_k[n], row n of ``gf_rows``.
-    This is the series-side route to the family and the oracle the
-    recurrence construction is checked against.
-    """
-    if Fraction(beta) == 0:
-        raise ValueError("the family requires beta != 0")
-    return [QPolynomial(row) for row in gf_rows(alpha, beta, nmax)]
 
 
 def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:

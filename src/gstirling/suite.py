@@ -195,8 +195,8 @@ def gf_derivative_ok(
 
 
 def rodrigues_ok(alpha: Fraction, beta: Fraction, nmax: int = 6) -> bool:
-    return operators.verify_rodrigues_first(alpha, beta, nmax) and all(
-        operators.verify_rodrigues_second(alpha, beta, n) for n in range(nmax + 1)
+    return all(operators.verify_rodrigues_first(alpha, beta, nmax)) and all(
+        operators.verify_rodrigues_second(alpha, beta, nmax)
     )
 
 
@@ -321,8 +321,9 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
 # at call time, so rebinding one (a test double, a tracer) reaches every
 # line of --all.  Under --identity, four runners print finer lines and call
 # the checks beneath their batch instead: rbell per r, gf-derivative per m
-# on one pair or whenever --m is given, rodrigues and bell-operator per n
-# and lambda on one pair.
+# on one pair or whenever --m is given, and on one pair rodrigues per n
+# (line n is degree n's verdict from one walk of each route) and
+# bell-operator per lambda.
 
 
 def _triple_route(pairs, nmax, mode):
@@ -385,14 +386,10 @@ def _rodrigues(pairs, nmax, mode):
         if mode != "pair":
             yield f"{_pair(a, b)} n<={nmax}", rodrigues_ok(a, b, nmax)
             continue
-        # line n re-walks the first route only when it failed somewhere
-        # up to nmax, so every line from its first failing degree fails
-        first_ok = operators.verify_rodrigues_first(a, b, nmax)
+        first = operators.verify_rodrigues_first(a, b, nmax)
+        second = operators.verify_rodrigues_second(a, b, nmax)
         for n in range(nmax + 1):
-            ok = (first_ok or operators.verify_rodrigues_first(a, b, n)) and (
-                operators.verify_rodrigues_second(a, b, n)
-            )
-            yield f"{_pair(a, b)} n={n}", ok
+            yield f"{_pair(a, b)} n={n}", first[n] and second[n]
 
 
 def _bell_operator(pairs, nmax, mode, lam=None):

@@ -90,13 +90,6 @@ def _count_distinct(chain: tuple[tuple[int, ...], ...]) -> int:
     return _chain_signs(chain, -1, 0)[0] - _chain_signs(chain, 1, 0)[0]
 
 
-def count_real_roots(p: QPolynomial) -> int:
-    """Number of distinct real roots, from variations at minus/plus infinity."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no root count")
-    return _count_distinct(sturm_chain(p))
-
-
 def all_roots_real(p: QPolynomial) -> bool:
     """True iff the total multiplicity of real roots equals the degree.
 

@@ -385,7 +385,7 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert out.splitlines()[-1].endswith("failures=63")
 
 
-def test_verify_rodrigues_pair_fails_from_the_wrong_degree_on(capsys, monkeypatch):
+def test_verify_rodrigues_pair_fails_only_the_wrong_degree(capsys, monkeypatch):
     right = operators.triangle_rows
 
     def wrong(alpha, beta, nmax):
@@ -402,12 +402,13 @@ def test_verify_rodrigues_pair_fails_from_the_wrong_degree_on(capsys, monkeypatc
     )
     assert code == 3
     assert out.splitlines() == [
-        f"{'PASS' if n < 3 else 'FAIL'} rodrigues alpha=-1/2 beta=-1/2 n={n}" for n in range(6)
-    ] + ["# checks=6 failures=3"]
-    # lines 4 and 5 fail through the first route, which walks past degree 3
+        f"{'FAIL' if n == 3 else 'PASS'} rodrigues alpha=-1/2 beta=-1/2 n={n}" for n in range(6)
+    ] + ["# checks=6 failures=1"]
+    # both routes walk past degree 3 and still pass degrees 4 and 5
     half = F(-1, 2)
-    assert operators.verify_rodrigues_second(half, half, 4)
-    assert operators.verify_rodrigues_second(half, half, 5)
+    expected = (True, True, True, False, True, True)
+    assert operators.verify_rodrigues_first(half, half, 5) == expected
+    assert operators.verify_rodrigues_second(half, half, 5) == expected
 
 
 def test_output_file_and_io_error(tmp_path, capsys):

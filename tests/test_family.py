@@ -25,7 +25,7 @@ from gstirling.family import (
 )
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.series import gf_polynomials
+from gstirling.series import gf_rows
 from gstirling.stirling import lah, partial_r_bell, stirling1
 
 F = Fraction
@@ -60,9 +60,8 @@ def test_monomial_collapse():
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_poly_matches_generating_function(params):
-    ps = gf_polynomials(params.alpha, params.beta, 10)
-    for n in range(11):
-        assert poly(params, n) == ps[n]
+    for n, row in enumerate(gf_rows(params.alpha, params.beta, 10)):
+        assert poly(params, n) == QPolynomial(row)
 
 
 @pytest.mark.parametrize("params", PARAMS)
@@ -270,10 +269,10 @@ def test_u_and_v_small_members():
 
 
 def test_u_v_match_their_generating_functions():
-    for n, p in enumerate(gf_polynomials(F(-1, 2), F(-1, 2), 8)):
-        assert family_U(n) == p
-    for n, p in enumerate(gf_polynomials(F(-3, 2), F(-1, 2), 8)):
-        assert family_V(n) == p
+    for n, row in enumerate(gf_rows(F(-1, 2), F(-1, 2), 8)):
+        assert family_U(n) == QPolynomial(row)
+    for n, row in enumerate(gf_rows(F(-3, 2), F(-1, 2), 8)):
+        assert family_V(n) == QPolynomial(row)
 
 
 def test_laguerre_members():

@@ -13,6 +13,8 @@ gf-derivative check run on integers too.  Each is compared with a
 ``Fraction`` transcription of the loop it replaced, kept below as an
 oracle, together with ``binomial_series`` and ``series_mul``, the
 ``Fraction`` series helpers those loops used (test_series.py tests them).
+The second Rodrigues route walks one Euler step per degree; the n-fold
+derivative it replaced is kept below as its oracle.
 Each property runs on a seeded ``random.Random`` draw and, when hypothesis
 is installed, on its draws too.
 """
@@ -24,8 +26,9 @@ from math import comb, factorial, perm
 
 import pytest
 
-from gstirling import series, stirling
+from gstirling import operators, series, stirling, suite
 from gstirling.family import FamilyParams, addition, eval_dobinski
+from gstirling.operators import ExpMonomialSum
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
 from gstirling.stirling import gstirling_explicit, triangle_rows
@@ -249,6 +252,18 @@ def _derivative_holds_fractions(alpha, beta, m, order, explicit):
     return True
 
 
+def _rodrigues_second_fractions(alpha, beta, n):
+    """Degree n of the second Rodrigues route taken afresh: the n-fold
+    derivative E_n of x**(n-1-alpha) * exp(x**(-beta)), and whether
+    x**(alpha+1) * E_n matches row n of the triangle at x**(-beta)."""
+    e = ExpMonomialSum.monomial(-beta, n - 1 - alpha)
+    for _ in range(n):
+        e = e.derivative()
+    row = triangle_rows(alpha, beta, n)[n]
+    rhs = ExpMonomialSum(-beta, ((-beta * k, c) for k, c in enumerate(row)))
+    return e, e.xshift(alpha + 1) == rhs
+
+
 def _partial_r_bell_fractions(r, nmax, a, b):
     base = (Fraction(0),) + tuple(Fraction(a[j]) / factorial(j + 1) for j in range(nmax))
     head = (Fraction(1),) + (Fraction(0),) * nmax
@@ -341,6 +356,18 @@ def test_gf_derivative_matches_the_fraction_check(monkeypatch, alpha, beta, bump
     rng = random.Random(str((alpha, beta, bump)))
     order = rng.randint(2, 20)
     _check_gf_derivative(monkeypatch, alpha, beta, rng.randint(1, min(order, 6)), order, bump)
+
+
+def test_rodrigues_second_walk_matches_the_derivative_route():
+    for alpha, beta in suite.GRID:
+        verdicts = operators.verify_rodrigues_second(alpha, beta, 7)
+        walked = ExpMonomialSum.monomial(-beta, -1 - alpha)
+        for n in range(8):
+            if n:
+                walked = walked.euler_shift(n)  # the Leibniz step of the walk
+            derived, ok = _rodrigues_second_fractions(alpha, beta, n)
+            assert walked == derived
+            assert verdicts[n] == ok
 
 
 def _sequence(rng, length):

@@ -103,23 +103,23 @@ def test_sum_rejects_mixed_exponents():
 
 
 def test_rodrigues_first_base_case():
-    assert verify_rodrigues_first(F("2/3"), F(-2), 0)
+    assert verify_rodrigues_first(F("2/3"), F(-2), 0) == (True,)
 
 
 @pytest.mark.parametrize("alpha,beta", [(F(-1, 2), F(-1, 2)), (F(2), F(3))])
 @pytest.mark.parametrize("n", range(7))
 def test_rodrigues_first_examples(alpha, beta, n):
-    assert verify_rodrigues_first(alpha, beta, n)
+    assert verify_rodrigues_first(alpha, beta, n) == (True,) * (n + 1)
 
 
 def test_rodrigues_second_base_case():
-    assert verify_rodrigues_second(F("2/3"), F(-2), 0)
+    assert verify_rodrigues_second(F("2/3"), F(-2), 0) == (True,)
 
 
 @pytest.mark.parametrize("alpha,beta", [(F(-3, 2), F(-1, 2)), (F(0), F(-1))])
 @pytest.mark.parametrize("n", range(7))
 def test_rodrigues_second_examples(alpha, beta, n):
-    assert verify_rodrigues_second(alpha, beta, n)
+    assert verify_rodrigues_second(alpha, beta, n) == (True,) * (n + 1)
 
 
 def test_rodrigues_detects_a_wrong_triangle_entry(monkeypatch):
@@ -134,10 +134,11 @@ def test_rodrigues_detects_a_wrong_triangle_entry(monkeypatch):
 
     monkeypatch.setattr(operators, "triangle_rows", wrong)
     alpha, beta = F(-1, 2), F(-1, 2)
-    # the first route checks every degree up to nmax, the second only nmax
+    # each route fails degree 3 alone: no degree's walk reads the triangle
     for nmax in range(7):
-        assert verify_rodrigues_first(alpha, beta, nmax) == (nmax < 3)
-        assert verify_rodrigues_second(alpha, beta, nmax) == (nmax != 3)
+        expected = tuple(n != 3 for n in range(nmax + 1))
+        assert verify_rodrigues_first(alpha, beta, nmax) == expected
+        assert verify_rodrigues_second(alpha, beta, nmax) == expected
 
 
 def test_rodrigues_rejects_zero_beta():

@@ -10,10 +10,10 @@ from gstirling.zeros import (
     REGION_MAIN,
     REGION_NONE,
     REGION_SECONDARY,
+    _count_distinct,
     all_roots_real,
     check_newton_logconcave,
     classify_region,
-    count_real_roots,
     isolate_roots,
     region_report,
     square_free_part,
@@ -33,18 +33,16 @@ def _from_roots(roots, extra=()):
 
 
 def test_count_examples():
-    assert count_real_roots(QPolynomial((1, 0, 1))) == 0  # x^2 + 1
-    assert count_real_roots(QPolynomial((-1, 0, 1))) == 2  # x^2 - 1
-    assert count_real_roots(QPolynomial((0, 2, 1))) == 2  # x^2 + 2x
-    assert count_real_roots(QPolynomial((-1, 1, 0, 0, 1))) == 2  # x^4 + x - 1
-    assert count_real_roots(QPolynomial((1, 1, 0, 0, 1))) == 0  # x^4 + x + 1
-    with pytest.raises(ValueError):
-        count_real_roots(QPolynomial())
+    assert _count_distinct(sturm_chain(QPolynomial((1, 0, 1)))) == 0  # x^2 + 1
+    assert _count_distinct(sturm_chain(QPolynomial((-1, 0, 1)))) == 2  # x^2 - 1
+    assert _count_distinct(sturm_chain(QPolynomial((0, 2, 1)))) == 2  # x^2 + 2x
+    assert _count_distinct(sturm_chain(QPolynomial((-1, 1, 0, 0, 1)))) == 2  # x^4 + x - 1
+    assert _count_distinct(sturm_chain(QPolynomial((1, 1, 0, 0, 1)))) == 0  # x^4 + x + 1
 
 
 def test_count_is_of_distinct_roots():
     p = _from_roots([1, 1, 1, -2])
-    assert count_real_roots(p) == 2
+    assert _count_distinct(sturm_chain(p)) == 2
 
 
 def test_sturm_chain_shape():
@@ -166,7 +164,7 @@ def test_isolation_fuzz_against_factored_ground_truth():
         p = _from_roots(roots, quads)
         if p.degree < 1:
             continue
-        assert count_real_roots(p) == len(roots)
+        assert _count_distinct(sturm_chain(p)) == len(roots)
         if p.degree >= 1 and poly_gcd(p, p.derivative()).degree == 0:
             intervals = isolate_roots(p, F(1, 32))
             assert len(intervals) == len(roots)

@@ -7,10 +7,11 @@ import pytest
 
 from gstirling.qpoly import QPolynomial, poly_gcd
 from gstirling.zeros import (
+    _count_distinct,
     all_roots_real,
-    count_real_roots,
     isolate_roots,
     square_free_part,
+    sturm_chain,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -25,7 +26,7 @@ WIDTHS = st.builds(Fraction, st.integers(1, 9), st.integers(1, 2**24))
 def test_intervals_are_narrow_disjoint_and_bracket_a_root(coeffs, width):
     p = square_free_part(QPolynomial(coeffs))
     intervals = isolate_roots(p, width)
-    assert len(intervals) == count_real_roots(p)
+    assert len(intervals) == _count_distinct(sturm_chain(p))
     for lo, hi in intervals:
         assert lo <= hi and hi - lo <= width
         if lo == hi:
@@ -56,7 +57,7 @@ def test_repeated_factor_gcd_and_distinct_count(cofactor, base, power):
     dp = p.derivative()
     assert poly_gcd(p, dp) == _euclid_gcd(p, dp)
     assert poly_gcd(p, QPolynomial(cofactor)) == _euclid_gcd(p, QPolynomial(cofactor))
-    assert count_real_roots(p) == count_real_roots(square_free_part(p))
+    assert _count_distinct(sturm_chain(p)) == _count_distinct(sturm_chain(square_free_part(p)))
 
 
 LINEAR = st.tuples(st.fractions(-5, 5, max_denominator=6), st.integers(1, 3))
