@@ -32,7 +32,7 @@ from .operators import (
     verify_rodrigues_first,
     verify_rodrigues_second,
 )
-from .qpoly import QPolynomial, poly_divexact, poly_gcd
+from .qpoly import QPolynomial, poly_divexact
 from .rationals import (
     WireFormatError,
     falling,
@@ -43,14 +43,12 @@ from .rationals import (
 from .series import verify_gf_derivative
 from .stirling import (
     CompositionReport,
-    GStirlingTable,
     composition_report,
     gstirling_egf,
     gstirling_explicit,
     gstirling_inverse,
     gstirling_table,
     lah,
-    partial_r_bell,
     partial_r_bell_rows,
     rlah,
     stirling1,

@@ -106,7 +106,7 @@ def _poly_output(p: QPolynomial, fmt: str, extra: dict, note: str | None = None)
 
 def run_table(args) -> int:
     _nonzero_beta(args.beta)
-    table = gstirling_table(args.alpha, args.beta, args.nmax)
+    rows = gstirling_table(args.alpha, args.beta, args.nmax)
     if args.format == "json":
         # the lines json.dump(..., indent=2) writes for {"alpha", "beta",
         # "rows"}, one row at a time so the formatted table is never held
@@ -114,15 +114,15 @@ def run_table(args) -> int:
         payload = itertools.chain(
             [
                 "{",
-                f'  "alpha": "{format_rational(table.alpha)}",',
-                f'  "beta": "{format_rational(table.beta)}",',
+                f'  "alpha": "{format_rational(args.alpha)}",',
+                f'  "beta": "{format_rational(args.beta)}",',
                 '  "rows": [',
             ],
             (
                 "    [\n"
                 + ",\n".join(f'      "{format_rational(v)}"' for v in row)
-                + ("\n    ]," if n < table.nmax else "\n    ]")
-                for n, row in enumerate(table.rows)
+                + ("\n    ]," if n < args.nmax else "\n    ]")
+                for n, row in enumerate(rows)
             ),
             ["  ]", "}"],
         )
@@ -131,14 +131,14 @@ def run_table(args) -> int:
             ["n,k,value"],
             (
                 f"{n},{k},{format_rational(v)}"
-                for n, row in enumerate(table.rows)
+                for n, row in enumerate(rows)
                 for k, v in enumerate(row)
             ),
         )
     else:
         payload = (
             f"n={n}: " + ", ".join(format_rational(v) for v in row)
-            for n, row in enumerate(table.rows)
+            for n, row in enumerate(rows)
         )
     _emit(payload, args.output)
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .family import bell_poly
 from .qpoly import combine
@@ -27,13 +27,12 @@ class ExpMonomialSum:
 
     __slots__ = ("_beta", "_terms")
 
-    def __init__(self, beta_exp, terms: Mapping | Iterable = ()):
+    def __init__(self, beta_exp, terms: Iterable = ()):
         beta = Fraction(beta_exp)
         if beta == 0:
             raise ValueError("the exponential exponent must be nonzero")
-        items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Fraction, Fraction] = {}
-        for gamma, c in items:
+        for gamma, c in terms:
             g, c = Fraction(gamma), Fraction(c)
             c += acc.get(g, Fraction(0))
             if c:

@@ -23,16 +23,8 @@ class QPolynomial:
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
 
     @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "QPolynomial":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "QPolynomial":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, coeff: Fraction | int = 1) -> "QPolynomial":
@@ -231,8 +223,3 @@ def remainder_sequence(p: QPolynomial, q: QPolynomial) -> tuple[tuple[int, ...],
         nxt = _negated_remainder(seq[-2], nxt)
     return tuple(seq)
 
-
-def poly_gcd(p: QPolynomial, q: QPolynomial) -> QPolynomial:
-    """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
-    last = remainder_sequence(p, q)[-1]
-    return QPolynomial(Fraction(c, last[-1]) for c in last) if last else QPolynomial()

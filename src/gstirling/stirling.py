@@ -5,11 +5,13 @@ attached to a parameter pair (alpha, beta): the coefficients of the
 polynomial family in the monomial basis.  Around it sit its inverse
 triangle, the classical Stirling numbers of both kinds, Lah and r-Lah
 numbers, and partial (r-)Bell polynomials, each of which specializes or
-transports the central triangle.  ``partial_r_bell_rows`` reads whole
-partial r-Bell triangles off the integer column extraction of the family
-triangle, ``series.column_rows``, and the per-entry partial (r-)Bell functions
-index into them; the Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is
-the package's only cache.
+transports the central triangle.  The whole-triangle accessors
+(``triangle_rows``, ``gstirling_table``, ``gstirling_egf``,
+``partial_r_bell_rows``) return tuples of rows; ``partial_r_bell_rows``
+reads whole partial r-Bell triangles off the integer column extraction of
+the family triangle, ``series.column_rows``, and callers index into them.
+The Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is the
+package's only cache.
 """
 
 from __future__ import annotations
@@ -76,33 +78,12 @@ def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fra
     return _grown_rows((alpha, beta), nmax, (Fraction(1),), step)
 
 
-@dataclass(frozen=True)
-class GStirlingTable:
-    """Lower-triangular S(n, k) values for one fixed parameter pair."""
-
-    alpha: Fraction
-    beta: Fraction
-    nmax: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def value(self, n: int, k: int) -> Fraction:
-        _check_indices(n, k)
-        if n > self.nmax:
-            raise ValueError(f"row {n} exceeds table size nmax={self.nmax}")
-        return self.rows[n][k]
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        if not 0 <= n <= self.nmax:
-            raise ValueError(f"row {n} outside 0..{self.nmax}")
-        return self.rows[n]
-
-
-def gstirling_table(alpha, beta, nmax: int) -> GStirlingTable:
-    """Build the triangle by its recurrence (the default, cheapest route)."""
+def gstirling_table(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows 0..nmax of the triangle by its recurrence (the default, cheapest route)."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    return GStirlingTable(alpha, beta, nmax, triangle_rows(alpha, beta, nmax))
+    return triangle_rows(alpha, beta, nmax)
 
 
 def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
@@ -219,16 +200,6 @@ def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tup
     return column_rows(head, base, scale, r)
 
 
-def partial_r_bell(r: int, n: int, k: int, a: Sequence, b: Sequence = ()) -> Fraction:
-    """Partial r-Bell polynomial with full indices (n+r, k+r) at the given
-    coefficient sequences: entry [n][k] of ``partial_r_bell_rows``, which
-    checks r >= 0 and that ``a`` lists a_1..a_n (read only when k >= 1) and
-    ``b`` lists b_1..b_{n+1} (read only when r >= 1).
-    """
-    _check_indices(n, k)
-    return partial_r_bell_rows(r, n, a if k else [0] * n, b)[n][k]
-
-
 def verify_rbell_connection(alpha, beta, r: int, nmax: int) -> bool:
     """Check that the triangle at (r*alpha, beta) equals the partial r-Bell
     triangle at rising factorials up to nmax (``partial_r_bell_rows`` checks r, nmax)."""
@@ -252,17 +223,16 @@ class CompositionReport:
     """
 
     ok: bool
-    index_sign_ok: bool
     outer_sign_ok: bool
     failures: tuple[tuple[int, int], ...]
 
     @property
     def confirmed_sign(self) -> str:
-        if self.index_sign_ok and not self.outer_sign_ok:
+        if self.ok and not self.outer_sign_ok:
             return "summation-index"
-        if self.outer_sign_ok and not self.index_sign_ok:
+        if self.outer_sign_ok and not self.ok:
             return "outer-index"
-        if self.index_sign_ok and self.outer_sign_ok:
+        if self.ok and self.outer_sign_ok:
             return "both (degenerate parameters)"
         return "neither"
 
@@ -303,10 +273,4 @@ def composition_report(alpha, beta, alpha2, beta2, nmax: int) -> CompositionRepo
             failures.append((n, -1))
         outer_ok &= (-1) ** n * combine(plain, rising_targets) == lhs_rising[n]
 
-    index_ok = not failures
-    return CompositionReport(
-        ok=index_ok,
-        index_sign_ok=index_ok,
-        outer_sign_ok=outer_ok,
-        failures=tuple(failures),
-    )
+    return CompositionReport(ok=not failures, outer_sign_ok=outer_ok, failures=tuple(failures))

@@ -54,6 +54,9 @@ COMPOSITION_CASES = tuple(
     )
 )
 
+# the r values rbell checks when no --r is given
+RBELL_RS = range(4)
+
 DOBINSKI_EPS = Fraction(1, 10**12)
 DOBINSKI_TOL = 1e-10
 DOBINSKI_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -75,11 +78,16 @@ def _pair(alpha: Fraction, beta: Fraction) -> str:
     return f"alpha={alpha} beta={beta}"
 
 
+def _bell_lambdas(alpha: Fraction, beta: Fraction) -> tuple[Fraction, ...]:
+    """The lambda values bell-operator checks when no --lambda is given."""
+    return (Fraction(0), Fraction(1), alpha / beta)
+
+
 # ---------------------------------------------------------------------------
 # identity batches (each returns a bare bool for one parameter choice)
 
 
-def triple_route_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool:
+def triple_route_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     """Recurrence, explicit sum, and series extraction must agree entrywise."""
     rows = stirling.triangle_rows(alpha, beta, nmax)
     egf = stirling.gstirling_egf(alpha, beta, nmax)
@@ -119,7 +127,7 @@ def first_values_ok(alpha: Fraction, beta: Fraction) -> bool:
     return transformed == expected
 
 
-def recurrence_chain_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool:
+def recurrence_chain_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     params = family.FamilyParams(alpha, beta)
     current = QPolynomial.one()
     for n in range(nmax):
@@ -129,7 +137,7 @@ def recurrence_chain_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool
     return True
 
 
-def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int = 10) -> bool:
+def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     """Inverse-triangle row n, summed against the family members, is x**n."""
     params = family.FamilyParams(alpha, beta)
     members = [family.poly(params, j) for j in range(nmax + 1)]
@@ -139,7 +147,7 @@ def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int = 10) -> bool:
     )
 
 
-def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int = 10) -> bool:
+def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     params = family.FamilyParams(alpha, beta)
     if not family.verify_bell_basis_forward(params, nmax):
         return False
@@ -165,21 +173,18 @@ def _bell_display_ok(params, nmax: int, weight) -> bool:
     return True
 
 
-def u_bell_display_ok(nmax: int = 10) -> bool:
+def u_bell_display_ok(nmax: int) -> bool:
     """Bell-basis coefficients of the first specialization must equal
     sum_{k=j..n} C(k, j) * |s(n, k)| / 2**k (the printed display, with
     the C(k, j) factor its source omits)."""
     return _bell_display_ok(family.U_PARAMS, nmax, lambda k, j: Fraction(1, 2**k))
 
 
-def rbell_ok(alpha: Fraction, beta: Fraction, rmax: int = 3, nmax: int = 8) -> bool:
-    return all(
-        stirling.verify_rbell_connection(alpha, beta, r, nmax)
-        for r in range(rmax + 1)
-    )
+def rbell_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
+    return all(stirling.verify_rbell_connection(alpha, beta, r, nmax) for r in RBELL_RS)
 
 
-def addition_ok(alpha: Fraction, beta: Fraction, total: int = 10) -> bool:
+def addition_ok(alpha: Fraction, beta: Fraction, total: int) -> bool:
     params = family.FamilyParams(alpha, beta)
     for n in range(total + 1):
         for m in range(total + 1 - n):
@@ -188,24 +193,24 @@ def addition_ok(alpha: Fraction, beta: Fraction, total: int = 10) -> bool:
     return True
 
 
-def gf_derivative_ok(
-    alpha: Fraction, beta: Fraction, mmax: int = 5, order: int = 10
-) -> bool:
+def gf_derivative_ok(alpha: Fraction, beta: Fraction, mmax: int, order: int) -> bool:
     return series.verify_gf_derivatives(alpha, beta, range(mmax + 1), order)
 
 
-def rodrigues_ok(alpha: Fraction, beta: Fraction, nmax: int = 6) -> bool:
+def rodrigues_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     return all(operators.verify_rodrigues_first(alpha, beta, nmax)) and all(
         operators.verify_rodrigues_second(alpha, beta, nmax)
     )
 
 
-def bell_operator_ok(alpha: Fraction, beta: Fraction, nmax: int = 5) -> bool:
-    lams = (Fraction(0), Fraction(1), alpha / beta)
-    return all(operators.verify_bell_operator(alpha, beta, lam, nmax) for lam in lams)
+def bell_operator_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
+    return all(
+        operators.verify_bell_operator(alpha, beta, lam, nmax)
+        for lam in _bell_lambdas(alpha, beta)
+    )
 
 
-def rebase_roundtrip_ok(source, target, nmax: int = 6) -> bool:
+def rebase_roundtrip_ok(source, target, nmax: int) -> bool:
     p_from = family.FamilyParams(*source)
     p_to = family.FamilyParams(*target)
     members = [family.poly(p_to, j) for j in range(nmax + 1)]
@@ -215,7 +220,7 @@ def rebase_roundtrip_ok(source, target, nmax: int = 6) -> bool:
     return True
 
 
-def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int = 20) -> tuple[bool, int]:
+def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int) -> tuple[bool, int]:
     """Real-rootedness over the degrees up to nmax_main that the region
     classification asserts (``zeros.asserted_degrees``).
 
@@ -230,7 +235,7 @@ def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int = 20) -> tuple
     return True, len(degrees)
 
 
-def log_concave_ok(alpha: Fraction, beta: Fraction, nmax: int = 12) -> bool:
+def log_concave_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     """Newton inequality plus entrywise nonnegativity on the hypothesis set."""
     params = family.FamilyParams(alpha, beta)
     rows = stirling.triangle_rows(alpha, beta, nmax)
@@ -254,7 +259,8 @@ def _dobinski_close(params, n: int, scale: int = 1) -> bool:
     return True
 
 
-def specializations_ok(nmax: int = 8) -> list[CheckResult]:
+def specializations_ok(nmax: int) -> list[tuple[str, bool]]:
+    """(detail, ok) for each named specialization, in print order."""
     results = []
 
     for name, params in (("U", family.U_PARAMS), ("V", family.V_PARAMS)):
@@ -266,7 +272,7 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
             ok = ok and u_bell_display_ok(nmax)
         else:
             ok = ok and _bell_display_ok(params, nmax, lambda k, j: Fraction(3, 2) ** k / 3**j)
-        results.append(CheckResult("specializations", f"family={name} n<={nmax}", ok))
+        results.append((f"family={name} n<={nmax}", ok))
 
     for lam in (Fraction(0), Fraction(1), Fraction(5, 2)):
         lparams = family.laguerre_params(lam)
@@ -281,9 +287,7 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
         ok = ok and stirling.verify_rbell_connection(
             lparams.alpha, lparams.beta, 1, nmax
         )
-        results.append(
-            CheckResult("specializations", f"family=laguerre lambda={lam} n<={nmax}", ok)
-        )
+        results.append((f"family=laguerre lambda={lam} n<={nmax}", ok))
 
     for m in (1, 2, 3):
         ok = True
@@ -296,9 +300,7 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
                 ok = False
         # alpha = 0 leaves only the k = j term: m**j * |s(n, j)|
         ok = ok and _bell_display_ok(lah_params, nmax, lambda k, j: m**j if k == j else 0)
-        results.append(
-            CheckResult("specializations", f"family=assoc-lah m={m} n<={nmax}", ok)
-        )
+        results.append((f"family=assoc-lah m={m} n<={nmax}", ok))
 
     ok = True
     for n in range(7):
@@ -307,7 +309,7 @@ def specializations_ok(nmax: int = 8) -> list[CheckResult]:
                 1, n + 1, k + 1
             ):
                 ok = False
-    results.append(CheckResult("specializations", "r-lah-remark r=1 n<=6", ok))
+    results.append(("r-lah-remark r=1 n<=6", ok))
     return results
 
 
@@ -356,9 +358,9 @@ def _bell_basis(pairs, nmax, mode):
 def _rbell(pairs, nmax, mode, r=None):
     for a, b in pairs:
         if mode == "all":
-            yield f"{_pair(a, b)} r<=3 n<={nmax}", rbell_ok(a, b, 3, nmax)
+            yield f"{_pair(a, b)} r<={RBELL_RS[-1]} n<={nmax}", rbell_ok(a, b, nmax)
             continue
-        for rr in (r,) if r is not None else range(4):
+        for rr in (r,) if r is not None else RBELL_RS:
             ok = stirling.verify_rbell_connection(a, b, rr, nmax)
             yield f"{_pair(a, b)} r={rr} n<={nmax}", ok
 
@@ -399,7 +401,7 @@ def _bell_operator(pairs, nmax, mode, lam=None):
         if mode != "pair":
             yield f"{_pair(a, b)} n<={nmax}", bell_operator_ok(a, b, nmax)
             continue
-        for lv in (Fraction(lam),) if lam is not None else (Fraction(0), Fraction(1), a / b):
+        for lv in (Fraction(lam),) if lam is not None else _bell_lambdas(a, b):
             ok = operators.verify_bell_operator(a, b, lv, nmax)
             yield f"{_pair(a, b)} lambda={lv} n<={nmax}", ok
 
@@ -468,8 +470,7 @@ def _log_concave(pairs, nmax, mode):
 
 
 def _specializations(pairs, nmax, mode):
-    for result in specializations_ok(nmax):
-        yield result.detail, result.ok
+    yield from specializations_ok(nmax)
 
 
 @dataclass(frozen=True)

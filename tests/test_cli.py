@@ -54,13 +54,19 @@ def test_table_json_streams_the_bytes_of_json_dump(capsys, nmax):
         capsys, "table", "--alpha", "11/6", "--beta", "-14/9", "--nmax", str(nmax), "--format", "json"
     )
     assert code == 0
-    table = gstirling_table(F(11, 6), F(-14, 9), nmax)
+    rows = gstirling_table(F(11, 6), F(-14, 9), nmax)
     payload = {
-        "alpha": format_rational(table.alpha),
-        "beta": format_rational(table.beta),
-        "rows": [[format_rational(v) for v in row] for row in table.rows],
+        "alpha": "11/6",
+        "beta": "-14/9",
+        "rows": [[format_rational(v) for v in row] for row in rows],
     }
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_table_rejects_a_negative_nmax(capsys):
+    code, out, err = run_cli(capsys, "table", "--alpha", "1", "--beta", "1", "--nmax", "-1")
+    assert code == 2 and out == ""
+    assert "nmax must be >= 0" in err
 
 
 def test_table_diagonal_family(capsys):
@@ -160,6 +166,14 @@ def test_eval_past_the_float_route_exits_zero(capsys, n, x):
     # a float in range, else a string of 17 significant digits
     series = F(payload["series"])
     assert abs(series - exact) <= abs(exact) * F(1, 10**12)
+
+
+@pytest.mark.parametrize("x", ["10001", "-20001/2", "1000000"])
+def test_eval_past_the_x_cap_exits_two(capsys, x):
+    # rejected before the series is summed, which would take hours at 10**6
+    code, out, err = run_cli(capsys, "eval", "--alpha", "0", "--beta", "-1", "--n", "1", "--x", x)
+    assert code == 2 and out == ""
+    assert f"|x| must be <= {family.MAX_ABS_X}, got {x}" in err
 
 
 def test_zeros_json_report(capsys):

@@ -26,7 +26,7 @@ from gstirling.family import (
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
 from gstirling.series import gf_rows
-from gstirling.stirling import lah, partial_r_bell, stirling1
+from gstirling.stirling import lah, partial_r_bell_rows, stirling1
 
 F = Fraction
 PAIRS = [
@@ -175,7 +175,7 @@ def test_monomial_expansion_reconstructs_powers():
     params = FamilyParams(F(-3, 2), F(-1, 2))
     for n in range(11):
         coeffs = monomial_to_family(params, n)
-        rebuilt = QPolynomial.zero()
+        rebuilt = QPolynomial()
         for k, c in enumerate(coeffs):
             rebuilt = rebuilt + c * poly(params, k)
         assert rebuilt == QPolynomial.monomial(n)
@@ -193,7 +193,7 @@ def test_rebase_reconstructs():
     dst = FamilyParams(0, -1)
     for n in range(7):
         coeffs = rebase(src, dst, n)
-        rebuilt = QPolynomial.zero()
+        rebuilt = QPolynomial()
         for j, c in enumerate(coeffs):
             rebuilt = rebuilt + c * poly(dst, j)
         assert rebuilt == poly(src, n)
@@ -202,7 +202,6 @@ def test_rebase_reconstructs():
 def test_lah_rebase_signs():
     report = lah_rebase_report(FamilyParams(F("1/3"), F(-2)), 6)
     assert report.ok
-    assert report.alternating_sign_ok
     assert not report.constant_sign_ok  # the unsigned reading fails the oracle
     assert "(-1)**k" in report.confirmed_sign
     # the mirrored-target coefficients are Lah numbers up to that sign
@@ -238,8 +237,8 @@ def test_lah_rebase_detects_a_wrong_mirrored_member(monkeypatch):
     # reconstruction from the mirrored members can notice
     params = FamilyParams(F("1/3"), F(-2))
     _bump_member(monkeypatch, FamilyParams(F("-1/3"), F(2)), 2)
-    assert lah_rebase_report(params, 1).alternating_sign_ok
-    assert not lah_rebase_report(params, 4).alternating_sign_ok
+    assert lah_rebase_report(params, 1).ok
+    assert not lah_rebase_report(params, 4).ok
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +296,11 @@ def test_assoc_lah_members():
 
 def test_assoc_lah_coefficients_are_partial_bell_values():
     m = 2
-    a_seq = [rising(m, j) for j in range(1, 7)]
+    rows = partial_r_bell_rows(0, 6, [rising(m, j) for j in range(1, 7)])
     for n in range(7):
         p = family_assoc_lah(m, n)
         for k in range(n + 1):
-            assert p.coeff(k) == partial_r_bell(0, n, k, a_seq)
+            assert p.coeff(k) == rows[n][k]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gstirling.stirling import (
     gstirling_inverse,
     gstirling_table,
     lah,
-    partial_r_bell,
+    partial_r_bell_rows,
     rlah,
     stirling1,
     stirling2,
@@ -121,26 +121,26 @@ def test_explicit_base_cases():
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_diagonal_and_edges(alpha, beta):
-    table = gstirling_table(alpha, beta, 8)
+    rows = gstirling_table(alpha, beta, 8)
     for n in range(9):
-        assert table.value(n, n) == (-beta) ** n
-        assert table.value(n, 0) == rising(-alpha, n)
-    assert table.row(1) == (-alpha, -beta)
+        assert rows[n][n] == (-beta) ** n
+        assert rows[n][0] == rising(-alpha, n)
+    assert rows[1] == (-alpha, -beta)
 
 
 def test_table_row_two_at_one_one():
     # recurrence from row 1 = [-1, -1]; the diagonal entry is (-beta)^2 = 1
-    assert gstirling_table(1, 1, 2).row(2) == (0, 2, 1)
+    assert gstirling_table(1, 1, 2)[2] == (0, 2, 1)
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_three_route_agreement(alpha, beta):
-    table = gstirling_table(alpha, beta, 8)
+    rows = gstirling_table(alpha, beta, 8)
     egf = gstirling_egf(alpha, beta, 8)
     for n in range(9):
         for k in range(n + 1):
-            assert table.value(n, k) == egf[n][k]
-            assert table.value(n, k) == gstirling_explicit(alpha, beta, n, k)
+            assert rows[n][k] == egf[n][k]
+            assert rows[n][k] == gstirling_explicit(alpha, beta, n, k)
 
 
 @pytest.mark.parametrize(
@@ -166,11 +166,11 @@ def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
 
 
 def test_table_bounds_checked():
-    table = gstirling_table(1, 1, 3)
-    with pytest.raises(ValueError):
-        table.value(4, 0)
-    with pytest.raises(ValueError):
-        table.row(5)
+    # the table holds rows 0..nmax and nothing past them; a negative nmax is refused
+    rows = gstirling_table(1, 1, 3)
+    assert [len(row) for row in rows] == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        gstirling_table(1, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,11 @@ def test_inverse_of_diagonal_family():
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_inverse_matrix_identity(alpha, beta):
     nmax = 8
-    table = gstirling_table(alpha, beta, nmax)
+    rows = gstirling_table(alpha, beta, nmax)
     for n in range(nmax + 1):
         for k in range(n + 1):
             acc = sum(
-                gstirling_inverse(alpha, beta, n, j) * table.value(j, k)
+                gstirling_inverse(alpha, beta, n, j) * rows[j][k]
                 for j in range(k, n + 1)
             )
             assert acc == (1 if n == k else 0)
@@ -233,10 +233,10 @@ def test_rlah_closed_form():
 
 def test_rlah_matches_reciprocal_laguerre_table():
     # the (-2, -1) triangle lists the r = 1 numbers with both indices shifted
-    table = gstirling_table(-2, -1, 6)
+    rows = gstirling_table(-2, -1, 6)
     for n in range(7):
         for k in range(n + 1):
-            assert table.value(n, k) == rlah(1, n + 1, k + 1)
+            assert rows[n][k] == rlah(1, n + 1, k + 1)
 
 
 def test_rlah_closed_form_matches_the_column_extraction():
@@ -267,22 +267,19 @@ def test_partial_bell_diagonal_is_power():
         a = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         if a[0] == 0:
             a[0] = F(1)
-        assert partial_r_bell(0, n, n, a) == a[0] ** n
+        assert partial_r_bell_rows(0, n, a)[n][n] == a[0] ** n
 
 
 def test_partial_r_bell_constant_term():
     b = [F(3, 2)] + [F(1)] * 4
     for r in range(4):
-        assert partial_r_bell(r, 0, 0, [], b) == F(3, 2) ** r
+        assert partial_r_bell_rows(r, 0, [], b)[0][0] == F(3, 2) ** r
 
 
 def test_partial_r_bell_matches_triangle_instance():
     a = [rising(F(1, 2), j) for j in range(1, 7)]
     b = [rising(F(1, 2), j) for j in range(7)]
-    table = gstirling_table(F(-1, 2), F(-1, 2), 6)
-    for n in range(7):
-        for k in range(n + 1):
-            assert partial_r_bell(1, n, k, a, b) == table.value(n, k)
+    assert partial_r_bell_rows(1, 6, a, b) == gstirling_table(F(-1, 2), F(-1, 2), 6)
 
 
 def _oracle_partial_bell(n, k, a):
@@ -309,41 +306,41 @@ def test_partial_r_bell_matches_recurrence_oracle():
         a = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(8)]
         b = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(9)]
         for r in range(4):
+            rows = partial_r_bell_rows(r, 8, a, b)
             for n in range(9):
                 for k in range(n + 1):
                     expected = sum(
                         comb(n, m) * _oracle_partial_bell(m, k, a) * _oracle_r_fold(r, n - m, b)
                         for m in range(k, n + 1)
                     )
-                    value = partial_r_bell(r, n, k, a, b)
+                    value = rows[n][k]
                     assert type(value) is F and value == expected, (trial, r, n, k)
 
 
 def test_partial_r_bell_at_large_r():
     # B**r is built by products, not r nested calls
-    assert partial_r_bell(2000, 1, 1, [1], [1, 1]) == 1
-    assert partial_r_bell(2000, 1, 0, [1], [1, 1]) == 2000
+    assert partial_r_bell_rows(2000, 1, [1], [1, 1])[1] == (2000, 1)
     # and by squaring: b = 1, 1, 1 makes B = 1 + t + t**2/2, whose r-th power
     # has t**2 coefficient r**2 / 2
     for r in (2, 3, 5, 6, 7, 2000, 10**9):
-        assert partial_r_bell(r, 2, 0, [1, 1], [1, 1, 1]) == r**2
+        assert partial_r_bell_rows(r, 2, [1, 1], [1, 1, 1])[2][0] == r**2
 
 
 def test_partial_r_bell_rows_index_like_the_entries():
+    # row n does not depend on how many rows past it are asked for
     a = [F(j, 3) - 1 for j in range(1, 7)]
     b = [F(2, j + 1) for j in range(7)]
-    rows = stirling.partial_r_bell_rows(2, 6, a, b)
+    rows = partial_r_bell_rows(2, 6, a, b)
     assert [len(row) for row in rows] == list(range(1, 8))
     for n in range(7):
-        for k in range(n + 1):
-            assert rows[n][k] == partial_r_bell(2, n, k, a, b)
+        assert rows[n] == partial_r_bell_rows(2, n, a, b)[n]
 
 
 def test_partial_bell_rejects_short_sequences():
     with pytest.raises(ValueError):
-        partial_r_bell(0, 4, 2, [1, 2, 3])
+        partial_r_bell_rows(0, 4, [1, 2, 3])
     with pytest.raises(ValueError):
-        partial_r_bell(2, 3, 1, [1, 2, 3], [1, 2, 3])
+        partial_r_bell_rows(2, 3, [1, 2, 3], [1, 2, 3])
 
 
 @pytest.mark.parametrize(
@@ -392,7 +389,7 @@ def test_composition_cases(case):
 def test_composition_sign_resolution():
     # a nondegenerate case separates the two readings of the sign exponent
     report = composition_report(F(1), F(-1), F(0), F(-2), 6)
-    assert report.index_sign_ok
+    assert report.ok
     assert not report.outer_sign_ok
     assert report.confirmed_sign == "summation-index"
     assert report.failures == ()
@@ -431,7 +428,7 @@ def test_composition_triangle_half_detects_a_wrong_target_entry(monkeypatch):
 
     monkeypatch.setattr(stirling, "triangle_rows", wrong)
     report = composition_report(F(1), F(-1), F(0), F(-2), 4)
-    assert not report.ok and not report.index_sign_ok
+    assert not report.ok
     assert set(report.failures) == {(2, 1), (3, 1), (4, 1)}
 
 
