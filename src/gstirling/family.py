@@ -15,10 +15,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .qpoly import QPolynomial, combine, linear_products
-from .rationals import common_scale, rising, scaled_row
+from .rationals import common_scale, rising
 from .stirling import (
     gstirling_inverse,
     lah,
+    scaled_rows,
     stirling1,
     stirling2,
     triangle_rows,
@@ -40,10 +41,13 @@ class FamilyParams:
 
 
 def poly(params: FamilyParams, n: int) -> QPolynomial:
-    """Degree-n member of the family, with triangle row n as coefficients."""
+    """Degree-n member of the family, with triangle row n as coefficients;
+    only row n is reduced to ``Fraction``s."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return QPolynomial(triangle_rows(params.alpha, params.beta, n)[n])
+    d, rows = scaled_rows(params.alpha, params.beta, n)
+    scale = d**n
+    return QPolynomial(Fraction(v, scale) for v in rows[n])
 
 
 def derivative_recurrence_step(params: FamilyParams, p_n: QPolynomial, n: int) -> QPolynomial:
@@ -226,16 +230,16 @@ def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
 
     Every term is an integer over d**(n+m) (``common_scale``): d**(n-j) *
     rising(m - beta*k, n-j) is prod_{l<n-j} (m*d - b*k + l*d), and rows m
-    and j are read as the integers d**m * S(m, k) and d**j * S(j, i).
+    and j are the integers d**m * S(m, k) and d**j * S(j, i) of ``scaled_rows``.
     """
     if n < 0 or m < 0:
         raise ValueError(f"n and m must be >= 0, got (n={n}, m={m})")
     d, _, b = common_scale(params.alpha, params.beta)
-    rows = triangle_rows(params.alpha, params.beta, max(n, m))
-    row_m = scaled_row(rows[m], d**m)
+    _, rows = scaled_rows(params.alpha, params.beta, max(n, m))
+    row_m = rows[m]
     out = [0] * (n + m + 1)
     for j in range(n + 1):
-        row_j = scaled_row(rows[j], d**j)
+        row_j = rows[j]
         for k in range(m + 1):
             first = m * d - b * k
             scalar = comb(n, j) * math.prod(range(first, first + (n - j) * d, d)) * row_m[k]
@@ -298,13 +302,30 @@ class RisingExpansion:
 def rising_expansion(params: FamilyParams, nmax: int) -> RisingExpansion:
     """Expand rising(-alpha - beta*x, n) and sum_j S(n, j) * falling(x, j)
     into polynomials in x for every n <= nmax and report both sides;
-    degree n multiplies one more linear factor onto degree n-1."""
+    degree n multiplies one more linear factor onto degree n-1.
+
+    The right side is summed on integers, as sum_j T(n, j) * falling(x, j)
+    with T(n, j) = d**n * S(n, j) from ``scaled_rows`` and the integer
+    coefficients of falling(x, j), and divided by d**n once.
+    """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     a, b = params.alpha, params.beta
     lhs = linear_products((-a + i, -b) for i in range(nmax))
-    falling = linear_products((-j, 1) for j in range(nmax))
-    rhs = (combine(row, falling) for row in triangle_rows(a, b, nmax))
+    # falling(x, j) has integer coefficients
+    falling = [
+        [c.numerator for c in p.coefficients] for p in linear_products((-j, 1) for j in range(nmax))
+    ]
+    d, rows = scaled_rows(a, b, nmax)
+    rhs = []
+    for n, row in enumerate(rows):
+        out = [0] * (n + 1)
+        for t, basis in zip(row, falling):
+            if t:
+                for i, c in enumerate(basis):
+                    out[i] += t * c
+        scale = d**n
+        rhs.append(QPolynomial(Fraction(v, scale) for v in out))
     return RisingExpansion(tuple(lhs), tuple(rhs))
 
 

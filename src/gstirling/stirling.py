@@ -11,7 +11,9 @@ transports the central triangle.  The whole-triangle accessors
 reads whole partial r-Bell triangles off the integer column extraction of
 the family triangle, ``series.column_rows``, and callers index into them.
 The Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is the
-package's only cache.
+package's only cache; it keeps the family triangle as integer rows scaled
+by a power of the common denominator (``scaled_rows``), reduced to
+``Fraction`` rows only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -36,54 +38,90 @@ def _check_indices(n: int, k: int) -> None:
 _TRIANGLES: dict = {}
 
 
-def _grown_rows(key, nmax: int, seed: tuple, step) -> tuple[tuple, ...]:
-    """Rows 0..nmax of the triangle stored under ``key``.
+def _grown(rows: tuple, nmax: int, step) -> tuple:
+    """``rows`` extended to rows 0..nmax, row m+1 being ``step(m, row_m)``.
 
-    The triangle starts at ``seed`` and row m+1 is ``step(m, row_m)``.  Each
-    key keeps one triangle; a larger ``nmax`` extends it and stores the
-    longer tuple in its place, so rows already handed out never change.
+    A longer tuple replaces the stored one, so rows already handed out
+    never change.
     """
-    rows = _TRIANGLES.setdefault(key, (seed,))
-    if len(rows) <= nmax:
-        grown = list(rows)
-        for m in range(len(rows) - 1, nmax):
-            grown.append(step(m, grown[m]))
-        rows = _TRIANGLES[key] = tuple(grown)
-    return rows[: nmax + 1]
+    if len(rows) > nmax:
+        return rows
+    grown = list(rows)
+    for m in range(len(rows) - 1, nmax):
+        grown.append(step(m, grown[m]))
+    return tuple(grown)
+
+
+@dataclass
+class _Triangle:
+    """The ``_TRIANGLES`` entry of one (alpha, beta): integer rows of
+    T(m, k) = d**m * S(m, k), and the first rows of S reduced to ``Fraction``."""
+
+    scale: int  # (scale, a, b) is (d, alpha*d, beta*d) of ``common_scale``
+    a: int
+    b: int
+    rows: tuple = ((1,),)
+    reduced: tuple = ()
+
+
+def _pair_triangle(alpha: Fraction, beta: Fraction, nmax: int) -> _Triangle:
+    """The entry of (alpha, beta), its integer rows grown to row nmax.
+
+    The recurrence S(m+1, j) = (m - alpha - beta*j) * S(m, j) - beta * S(m, j-1),
+    seeded with S(0, 0) = 1 and zero outside 0 <= j <= m, becomes
+    T(m+1, j) = (m*d - a - b*j) * T(m, j) - b * T(m, j-1) on integers.
+    """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    entry = _TRIANGLES.get((alpha, beta))
+    if entry is None:
+        entry = _TRIANGLES[(alpha, beta)] = _Triangle(*common_scale(alpha, beta))
+    if len(entry.rows) <= nmax:
+        d, a, b = entry.scale, entry.a, entry.b
+
+        def step(m, row):
+            padded = (0, *row, 0)
+            return tuple(
+                (m * d - a - b * j) * padded[j + 1] - b * padded[j] for j in range(m + 2)
+            )
+
+        entry.rows = _grown(entry.rows, nmax, step)
+    return entry
+
+
+def scaled_rows(
+    alpha: Fraction, beta: Fraction, nmax: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, rows 0..nmax of T(m, k) = d**m * S(m, k)), d from ``common_scale``.
+
+    Every T(m, k) is an integer, so S(m, k) is ``Fraction(T(m, k), d**m)``;
+    callers that need one row or a formatted entry reduce only that.  One
+    triangle is kept per (alpha, beta) and grown when a larger nmax is
+    asked for.
+    """
+    entry = _pair_triangle(alpha, beta, nmax)
+    return entry.scale, entry.rows[: nmax + 1]
 
 
 def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows 0..nmax of S(n, k) built by the triangular recurrence.
+    """Rows 0..nmax of S(n, k), read off the pair's integer rows.
 
-    S(m+1, j) = (m - alpha - beta*j) * S(m, j) - beta * S(m, j-1),
-    seeded with S(0, 0) = 1 and zero outside 0 <= j <= m.  One triangle is
-    kept per (alpha, beta) and grown when a larger nmax is asked for.
-
-    The step runs on integers: with d the common denominator of alpha and
-    beta, a = alpha*d and b = beta*d, T(m, j) = d**m * S(m, j) is an integer
-    and T(m+1, j) = (m*d - a - b*j) * T(m, j) - b * T(m, j-1), so each entry
-    is reduced to lowest terms once, when it is stored.
+    Each row is reduced to lowest terms once and kept in the pair's entry
+    beside the integer rows, so repeated calls reduce nothing again.
     """
-
-    def step(m, row):
-        d, a, b = common_scale(alpha, beta)
-        scale = d**m
-        padded = (0, *scaled_row(row, scale), 0)
-        scale *= d
-        return tuple(
-            Fraction((m * d - a - b * j) * padded[j + 1] - b * padded[j], scale)
-            for j in range(m + 2)
+    entry = _pair_triangle(alpha, beta, nmax)
+    done = len(entry.reduced)
+    if done <= nmax:
+        d = entry.scale
+        entry.reduced += tuple(
+            tuple(Fraction(v, d**m) for v in entry.rows[m]) for m in range(done, nmax + 1)
         )
-
-    return _grown_rows((alpha, beta), nmax, (Fraction(1),), step)
+    return entry.reduced[: nmax + 1]
 
 
 def gstirling_table(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows 0..nmax of the triangle by its recurrence (the default, cheapest route)."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    return triangle_rows(alpha, beta, nmax)
+    return triangle_rows(Fraction(alpha), Fraction(beta), nmax)
 
 
 def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
@@ -131,7 +169,9 @@ def _stirling_rows(kind: int, nmax: int) -> tuple[tuple[int, ...], ...]:
             padded[k] + (-n if kind == 1 else k) * padded[k + 1] for k in range(n + 2)
         )
 
-    return _grown_rows(("stirling", kind), nmax, (1,), step)
+    key = ("stirling", kind)
+    rows = _TRIANGLES[key] = _grown(_TRIANGLES.get(key, ((1,),)), nmax, step)
+    return rows[: nmax + 1]
 
 
 def stirling2(n: int, k: int) -> int:

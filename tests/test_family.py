@@ -329,16 +329,17 @@ def test_rising_expansion_grid(params):
 
 
 def test_rising_expansion_detects_a_wrong_triangle_entry(monkeypatch):
-    right = family.triangle_rows
+    right = family.scaled_rows
 
     def wrong(alpha, beta, nmax):
-        rows = right(alpha, beta, nmax)
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1)
+        d, rows = right(alpha, beta, nmax)
         if nmax < 3:
-            return rows
-        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
-        return rows[:3] + (bumped,) + rows[4:]
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
 
-    monkeypatch.setattr(family, "triangle_rows", wrong)
+    monkeypatch.setattr(family, "scaled_rows", wrong)
     params = FamilyParams(F(1, 2), F(-3))
     for nmax in range(7):
         rep = rising_expansion(params, nmax)

@@ -68,16 +68,17 @@ def test_specializations_detect_a_wrong_bell_coefficient(monkeypatch, params, de
 def test_addition_detects_a_wrong_triangle_entry(monkeypatch):
     # the addition formula reads rows m and j <= n of the triangle; with
     # entry (3, 1) bumped, n + m = 3 splits into a sum of unbumped rows
-    right = family.triangle_rows
+    right = family.scaled_rows
 
     def wrong(alpha, beta, nmax):
-        rows = right(alpha, beta, nmax)
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1)
+        d, rows = right(alpha, beta, nmax)
         if nmax < 3:
-            return rows
-        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
-        return rows[:3] + (bumped,) + rows[4:]
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
 
-    monkeypatch.setattr(family, "triangle_rows", wrong)
+    monkeypatch.setattr(family, "scaled_rows", wrong)
     for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(2)), (F(-3, 2), F(1, 2))):
         assert suite.addition_ok(alpha, beta, 2)
         assert not suite.addition_ok(alpha, beta, 3)
