@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import isfinite, lcm
 
 from . import family, suite, zeros
-from .qpoly import QPolynomial, homogeneous_value
-from .rationals import WireFormatError, format_rational, format_scaled, parse_rational
-from .stirling import scaled_rows
+from .qpoly import QPolynomial
+from .rationals import WireFormatError, format_rational, parse_rational
+from .stirling import gstirling_table
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -104,19 +104,9 @@ def _poly_output(p: QPolynomial, fmt: str, extra: dict, note: str | None = None)
     return lines
 
 
-def _wire_rows(d: int, rows):
-    """Each integer row m of ``scaled_rows`` as the wire forms of its
-    entries T / d**m, formatted one row at a time as they are consumed."""
-    scale = 1
-    for row in rows:
-        yield [format_scaled(v, scale) for v in row]
-        scale *= d
-
-
 def run_table(args) -> int:
     _nonzero_beta(args.beta)
-    d, rows = scaled_rows(args.alpha, args.beta, args.nmax)
-    formatted = enumerate(_wire_rows(d, rows))
+    rows = gstirling_table(args.alpha, args.beta, args.nmax)
     if args.format == "json":
         # the lines json.dump(..., indent=2) writes for {"alpha", "beta",
         # "rows"}, one row at a time so the formatted table is never held
@@ -130,19 +120,26 @@ def run_table(args) -> int:
             ],
             (
                 "    [\n"
-                + ",\n".join(f'      "{v}"' for v in row)
+                + ",\n".join(f'      "{format_rational(v)}"' for v in row)
                 + ("\n    ]," if n < args.nmax else "\n    ]")
-                for n, row in formatted
+                for n, row in enumerate(rows)
             ),
             ["  ]", "}"],
         )
     elif args.format == "csv":
         payload = itertools.chain(
             ["n,k,value"],
-            (f"{n},{k},{v}" for n, row in formatted for k, v in enumerate(row)),
+            (
+                f"{n},{k},{format_rational(v)}"
+                for n, row in enumerate(rows)
+                for k, v in enumerate(row)
+            ),
         )
     else:
-        payload = (f"n={n}: " + ", ".join(row) for n, row in formatted)
+        payload = (
+            f"n={n}: " + ", ".join(format_rational(v) for v in row)
+            for n, row in enumerate(rows)
+        )
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -172,10 +169,7 @@ def run_eval(args) -> int:
         raise ValueError(f"epsilon must be > 0, got {args.epsilon}")
     params = family.FamilyParams(args.alpha, args.beta)
     value = family.eval_dobinski(params, args.n, args.x, epsilon)
-    # the member's value at x = p/q: sum_k T(n, k) * p**k * q**(n-k) over (d*q)**n
-    d, rows = scaled_rows(args.alpha, args.beta, args.n)
-    p, q = args.x.numerator, args.x.denominator
-    exact = Fraction(homogeneous_value(rows[args.n], p, q), (d * q) ** args.n)
+    exact = family.poly(params, args.n)(args.x)
     if isinstance(value, float):
         series = repr(value)
     else:

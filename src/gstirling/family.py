@@ -22,6 +22,7 @@ from .stirling import (
     scaled_rows,
     stirling1,
     stirling2,
+    triangle_row,
     triangle_rows,
 )
 
@@ -41,13 +42,11 @@ class FamilyParams:
 
 
 def poly(params: FamilyParams, n: int) -> QPolynomial:
-    """Degree-n member of the family, with triangle row n as coefficients;
-    only row n is reduced to ``Fraction``s."""
+    """Degree-n member of the family, with triangle row n as coefficients
+    (``triangle_row``: no other row is reduced to ``Fraction``s for it)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    d, rows = scaled_rows(params.alpha, params.beta, n)
-    scale = d**n
-    return QPolynomial(Fraction(v, scale) for v in rows[n])
+    return QPolynomial(triangle_row(params.alpha, params.beta, n))
 
 
 def derivative_recurrence_step(params: FamilyParams, p_n: QPolynomial, n: int) -> QPolynomial:

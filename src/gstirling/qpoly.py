@@ -161,17 +161,6 @@ def linear_products(factors: Iterable[tuple]) -> list[QPolynomial]:
     return out
 
 
-def homogeneous_value(coeffs: Sequence[int], num: int, den: int) -> int:
-    """sum_i coeffs[i] * num**i * den**(deg - i), deg = len(coeffs) - 1, by
-    Horner's rule on integers: den**deg times the value at num/den when
-    den != 0, and the leading term num**deg * coeffs[-1] when den == 0."""
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
-
-
 def poly_divexact(p: QPolynomial, q: QPolynomial) -> QPolynomial:
     """Divide p by q, requiring a zero remainder."""
     quo, rem = divmod(p, q)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 _WIRE_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
@@ -40,13 +40,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Inverse of :func:`parse_rational`; emits "p" or "p/q" with q > 1."""
     return str(value if isinstance(value, Fraction) else Fraction(value))
-
-
-def format_scaled(value: int, scale: int) -> str:
-    """``format_rational(Fraction(value, scale))`` for integers value and
-    scale > 0, without building the ``Fraction``: one gcd per entry."""
-    g = gcd(value, scale)
-    return str(value // g) if g == scale else f"{value // g}/{scale // g}"
 
 
 def common_scale(alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:

@@ -11,9 +11,10 @@ transports the central triangle.  The whole-triangle accessors
 reads whole partial r-Bell triangles off the integer column extraction of
 the family triangle, ``series.column_rows``, and callers index into them.
 The Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is the
-package's only cache; it keeps the family triangle as integer rows scaled
-by a power of the common denominator (``scaled_rows``), reduced to
-``Fraction`` rows only where a caller asks for them.
+package's only cache; it keeps the family triangle of each pair as
+integer rows scaled by a power of the common denominator (``scaled_rows``)
+and as ``Fraction`` rows (``triangle_rows``), each form grown only when a
+caller reads it.
 """
 
 from __future__ import annotations
@@ -54,38 +55,35 @@ def _grown(rows: tuple, nmax: int, step) -> tuple:
 
 @dataclass
 class _Triangle:
-    """The ``_TRIANGLES`` entry of one (alpha, beta): integer rows of
-    T(m, k) = d**m * S(m, k), and the first rows of S reduced to ``Fraction``."""
+    """The ``_TRIANGLES`` entry of one (alpha, beta): the integer rows
+    T(m, k) = d**m * S(m, k) of ``scaled_rows`` and the ``Fraction`` rows of
+    S of ``triangle_rows``, each grown only when asked for, so a process
+    that reads one form of a large triangle never holds the other."""
 
     scale: int  # (scale, a, b) is (d, alpha*d, beta*d) of ``common_scale``
     a: int
     b: int
     rows: tuple = ((1,),)
-    reduced: tuple = ()
+    reduced: tuple = ((Fraction(1),),)
+
+    def step(self, m: int, row: tuple) -> tuple:
+        """Integer row m+1 from integer row m.
+
+        The recurrence S(m+1, j) = (m - alpha - beta*j) * S(m, j) - beta * S(m, j-1),
+        seeded with S(0, 0) = 1 and zero outside 0 <= j <= m, becomes
+        T(m+1, j) = (m*d - a - b*j) * T(m, j) - b * T(m, j-1) on integers.
+        """
+        d, a, b = self.scale, self.a, self.b
+        padded = (0, *row, 0)
+        return tuple((m * d - a - b * j) * padded[j + 1] - b * padded[j] for j in range(m + 2))
 
 
 def _pair_triangle(alpha: Fraction, beta: Fraction, nmax: int) -> _Triangle:
-    """The entry of (alpha, beta), its integer rows grown to row nmax.
-
-    The recurrence S(m+1, j) = (m - alpha - beta*j) * S(m, j) - beta * S(m, j-1),
-    seeded with S(0, 0) = 1 and zero outside 0 <= j <= m, becomes
-    T(m+1, j) = (m*d - a - b*j) * T(m, j) - b * T(m, j-1) on integers.
-    """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     entry = _TRIANGLES.get((alpha, beta))
     if entry is None:
         entry = _TRIANGLES[(alpha, beta)] = _Triangle(*common_scale(alpha, beta))
-    if len(entry.rows) <= nmax:
-        d, a, b = entry.scale, entry.a, entry.b
-
-        def step(m, row):
-            padded = (0, *row, 0)
-            return tuple(
-                (m * d - a - b * j) * padded[j + 1] - b * padded[j] for j in range(m + 2)
-            )
-
-        entry.rows = _grown(entry.rows, nmax, step)
     return entry
 
 
@@ -95,28 +93,44 @@ def scaled_rows(
     """(d, rows 0..nmax of T(m, k) = d**m * S(m, k)), d from ``common_scale``.
 
     Every T(m, k) is an integer, so S(m, k) is ``Fraction(T(m, k), d**m)``;
-    callers that need one row or a formatted entry reduce only that.  One
-    triangle is kept per (alpha, beta) and grown when a larger nmax is
-    asked for.
+    callers that need one row reduce only that.  One triangle is kept per
+    (alpha, beta) and grown when a larger nmax is asked for.
     """
     entry = _pair_triangle(alpha, beta, nmax)
+    entry.rows = _grown(entry.rows, nmax, entry.step)
     return entry.scale, entry.rows[: nmax + 1]
 
 
 def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows 0..nmax of S(n, k), read off the pair's integer rows.
+    """Rows 0..nmax of S(n, k) as ``Fraction``s, kept in the pair's entry.
 
-    Each row is reduced to lowest terms once and kept in the pair's entry
-    beside the integer rows, so repeated calls reduce nothing again.
+    Each new row is reduced to lowest terms once.  It is read off the
+    pair's integer rows where ``scaled_rows`` has grown them that far, and
+    otherwise stepped from the last row scaled back to integers
+    (``scaled_row``), so the integer rows are not grown for it.
     """
     entry = _pair_triangle(alpha, beta, nmax)
-    done = len(entry.reduced)
-    if done <= nmax:
-        d = entry.scale
-        entry.reduced += tuple(
-            tuple(Fraction(v, d**m) for v in entry.rows[m]) for m in range(done, nmax + 1)
-        )
+    d = entry.scale
+
+    def step(m, row):
+        ints = entry.rows[m + 1] if m + 1 < len(entry.rows) else entry.step(m, scaled_row(row, d**m))
+        scale = d ** (m + 1)
+        return tuple(Fraction(v, scale) for v in ints)
+
+    entry.reduced = _grown(entry.reduced, nmax, step)
     return entry.reduced[: nmax + 1]
+
+
+def triangle_row(alpha: Fraction, beta: Fraction, n: int) -> tuple[Fraction, ...]:
+    """Row n of S(n, k) as ``Fraction``s: the stored row where
+    ``triangle_rows`` has grown that far, else row n of ``scaled_rows``
+    reduced alone."""
+    entry = _pair_triangle(alpha, beta, n)
+    if n < len(entry.reduced):
+        return entry.reduced[n]
+    d, rows = scaled_rows(alpha, beta, n)
+    scale = d**n
+    return tuple(Fraction(v, scale) for v in rows[n])
 
 
 def gstirling_table(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:

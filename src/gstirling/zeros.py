@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import FamilyParams, poly
-from .qpoly import QPolynomial, homogeneous_value, poly_divexact, remainder_sequence
+from .qpoly import QPolynomial, poly_divexact, remainder_sequence
 from .stirling import triangle_rows
 
 REGION_MAIN = "A"
@@ -54,7 +54,10 @@ def _sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
     For den > 0 it is the sign of q(num/den); at (+-1, 0) only the leading
     term is left, whose sign is that of q at +-infinity.
     """
-    acc = homogeneous_value(coeffs, num, den)
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
     return (acc > 0) - (acc < 0)
 
 

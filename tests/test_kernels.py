@@ -14,12 +14,10 @@ gf-derivative check run on integers too.  Each is compared with a
 oracle, together with ``binomial_series`` and ``series_mul``, the
 ``Fraction`` series helpers those loops used (test_series.py tests them).
 The second Rodrigues route walks one Euler step per degree; the n-fold
-derivative it replaced is kept below as its oracle.  The triangle is kept
-as integer rows T(m, k) = d**m * S(m, k) (``stirling.scaled_rows``); the
-``Fraction`` step it replaced, which scaled each stored row back to
-integers with ``scaled_row``, is the oracle for those rows, for the "p/q"
-formatter ``format_scaled`` and for the integer Horner value ``eval``
-prints.
+derivative it replaced is kept below as its oracle.  The triangle is also
+kept as integer rows T(m, k) = d**m * S(m, k) (``stirling.scaled_rows``);
+the ``Fraction`` step, which scales each stored row back to integers with
+``scaled_row``, is the oracle for those rows.
 Each property runs on a seeded ``random.Random`` draw and, when hypothesis
 is installed, on its draws too.
 """
@@ -34,8 +32,8 @@ import pytest
 from gstirling import operators, series, stirling, suite
 from gstirling.family import FamilyParams, addition, eval_dobinski, poly
 from gstirling.operators import ExpMonomialSum
-from gstirling.qpoly import QPolynomial, homogeneous_value
-from gstirling.rationals import common_scale, format_rational, format_scaled, rising, scaled_row
+from gstirling.qpoly import QPolynomial
+from gstirling.rationals import common_scale, rising, scaled_row
 from gstirling.stirling import gstirling_explicit, scaled_rows, triangle_rows
 
 F = Fraction
@@ -103,8 +101,8 @@ def _sizes(rng):
 
 
 def _fraction_step_rows(alpha, beta, nmax):
-    """Rows 0..nmax of S by the step the integer rows replaced: each row is
-    stored as ``Fraction``s and scaled back to integers at the next step."""
+    """Rows 0..nmax of S by the ``Fraction`` step: each row is stored as
+    ``Fraction``s and scaled back to integers at the next step."""
     d, a, b = common_scale(alpha, beta)
     rows = [(Fraction(1),)]
     for m in range(nmax):
@@ -118,9 +116,9 @@ def _fraction_step_rows(alpha, beta, nmax):
     return rows
 
 
-def _check_scaled_kernels(alpha, beta, sizes, xs):
-    """The integer rows, their "p/q" forms and the integer Horner value
-    against the ``Fraction`` step, for rows grown in the order of sizes."""
+def _check_scaled_rows(alpha, beta, sizes):
+    """The integer rows against the ``Fraction`` step, for rows grown in the
+    order of sizes."""
     expected = _fraction_step_rows(alpha, beta, max(sizes))
     for nmax in sizes:
         d, rows = scaled_rows(alpha, beta, nmax)
@@ -129,19 +127,7 @@ def _check_scaled_kernels(alpha, beta, sizes, xs):
         for m, row in enumerate(rows):
             assert all(type(v) is int for v in row)
             assert tuple(Fraction(v, d**m) for v in row) == expected[m]
-            assert [format_scaled(v, d**m) for v in row] == [
-                format_rational(Fraction(v, d**m)) for v in row
-            ]
-    d, rows = scaled_rows(alpha, beta, max(sizes))
-    for n, row in enumerate(rows):
-        for x in xs:
-            p, q = x.numerator, x.denominator
-            value = Fraction(homogeneous_value(row, p, q), (d * q) ** n)
-            assert value == QPolynomial(expected[n])(x)
 
-
-# x = 0, negative, integer and p/q points for the Horner value
-HORNER_XS = [F(0), F(-3), F(2), F(5, 7), F(-4, 9)]
 
 # d = lcm(11, 12) = 132 is the largest common denominator of the draws;
 # the integer pairs have d = 1, and a non-negative integer alpha makes
@@ -160,9 +146,9 @@ def test_triangle_rows_match_the_closed_form(monkeypatch, alpha, beta, sizes):
 
 
 @pytest.mark.parametrize("alpha, beta, sizes", TRIANGLE_DRAWS)
-def test_scaled_kernels_match_the_fraction_step(monkeypatch, alpha, beta, sizes):
+def test_scaled_rows_match_the_fraction_step(monkeypatch, alpha, beta, sizes):
     monkeypatch.setattr(stirling, "_TRIANGLES", {})
-    _check_scaled_kernels(alpha, beta, sizes, HORNER_XS)
+    _check_scaled_rows(alpha, beta, sizes)
 
 
 def test_triangle_draws_hold_zero_negative_and_integer_entries():
@@ -187,6 +173,16 @@ def test_poly_and_triangle_rows_agree_in_either_order(monkeypatch, poly_first):
                 row = triangle_rows(alpha, beta, n)[n]
                 member = poly(FamilyParams(alpha, beta), n)
             assert member.coefficients == row
+
+
+def test_triangle_rows_grown_past_the_integer_rows_match_the_fraction_step(monkeypatch):
+    # rows 0..9 are read off the integer rows, rows 10..20 are stepped from
+    # the last of them
+    for alpha, beta, _ in TRIANGLE_DRAWS:
+        monkeypatch.setattr(stirling, "_TRIANGLES", {})
+        scaled_rows(alpha, beta, 9)
+        assert list(triangle_rows(alpha, beta, 20)) == _fraction_step_rows(alpha, beta, 20)
+        assert len(stirling._TRIANGLES[(alpha, beta)].rows) == 10
 
 
 DOBINSKI_RNG = random.Random(17)
@@ -223,12 +219,12 @@ def test_kernels_on_hypothesis_draws(monkeypatch):
     sizes = st.lists(st.integers(0, 25), min_size=1, max_size=4)
 
     @hypothesis.settings(max_examples=20, deadline=None)
-    @hypothesis.given(pairs, pairs, sizes, st.lists(rationals(-4, 4, 9), max_size=3))
-    def triangle(alpha, beta, sizes, xs):
+    @hypothesis.given(pairs, pairs, sizes)
+    def triangle(alpha, beta, sizes):
         monkeypatch.setattr(stirling, "_TRIANGLES", {})
         _check_triangle_growth(alpha, beta, sizes)
         monkeypatch.setattr(stirling, "_TRIANGLES", {})
-        _check_scaled_kernels(alpha, beta, sizes, [F(0)] + xs)
+        _check_scaled_rows(alpha, beta, sizes)
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(

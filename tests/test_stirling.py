@@ -149,7 +149,7 @@ def test_three_route_agreement(alpha, beta):
 def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
     assert (alpha, beta) not in GRID
     monkeypatch.setattr(stirling, "_TRIANGLES", {})
-    seen, stored = [], []
+    seen = []
     for nmax in (9, 3, 12, 0):
         rows = triangle_rows(alpha, beta, nmax)
         assert len(rows) == nmax + 1
@@ -160,15 +160,14 @@ def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
             common = min(len(earlier), len(rows))
             assert rows[:common] == earlier[:common]
         seen.append(rows)
-        stored.append(stirling._TRIANGLES[(alpha, beta)].rows)
-    # one entry for the pair, its integer and reduced rows grown to the
-    # largest nmax asked for; rows stored earlier were kept, not rebuilt
+    # one entry for the pair, its Fraction rows grown to the largest nmax
+    # asked for and rows stored earlier kept, not rebuilt; triangle_rows
+    # grows no integer rows
     assert list(stirling._TRIANGLES) == [(alpha, beta)]
     entry = stirling._TRIANGLES[(alpha, beta)]
-    assert len(entry.rows) == len(entry.reduced) == 13
-    for earlier, ints in zip(seen, stored):
+    assert len(entry.reduced) == 13 and len(entry.rows) == 1
+    for earlier in seen:
         assert all(entry.reduced[n] is row for n, row in enumerate(earlier))
-        assert all(entry.rows[n] is row for n, row in enumerate(ints))
 
 
 def test_table_bounds_checked():
