@@ -14,13 +14,12 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
-from .qpoly import QPolynomial, combine, linear_products
+from .qpoly import QPolynomial, combine, linear_products, rising_polys, rising_rows
 from .rationals import common_scale, rising
 from .stirling import (
     gstirling_inverse,
     lah,
     scaled_rows,
-    stirling1,
     stirling2,
     triangle_row,
     triangle_rows,
@@ -154,26 +153,15 @@ def _times_exp(total: Fraction, x: Fraction) -> float | Decimal:
 def to_bell_basis(params: FamilyParams, n: int) -> list[Fraction]:
     """Coefficients of the degree-n member in the Bell polynomial basis.
 
-    Coefficient j is
-
-        beta**j * sum_{k=j..n} (-1)**k * |s(n, k)| * C(k, j) * alpha**(k-j)
-
-    with s the signed first-kind Stirling numbers.  (Inverting the
-    forward basis identity forces the C(k, j) factor; the printed form
-    of this expansion omits it, which only goes unnoticed because the
-    factor is 1 whenever alpha = 0, j = n, or n <= 1.)
+    The member is exp(-x) * sum_k rising(-alpha - beta*k, n) * x**k / k!
+    (``eval_dobinski``) and Bell_j(x) is exp(-x) * sum_k k**j * x**k / k!,
+    so coefficient j is the y**j coefficient of rising(-alpha - beta*y, n):
+    row n of ``rising_rows`` over d**n, the only row reduced.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    a, b = params.alpha, params.beta
-    out = []
-    for j in range(n + 1):
-        inner = Fraction(0)
-        for k in range(j, n + 1):
-            term = abs(stirling1(n, k)) * comb(k, j) * a ** (k - j)
-            inner += term if k % 2 == 0 else -term
-        out.append(b**j * inner)
-    return out
+    d, rows = rising_rows(params.alpha, params.beta, n)
+    return [Fraction(v, d**n) for v in rows[n]]
 
 
 def from_bell_basis(coeffs) -> QPolynomial:
@@ -300,22 +288,17 @@ class RisingExpansion:
 
 def rising_expansion(params: FamilyParams, nmax: int) -> RisingExpansion:
     """Expand rising(-alpha - beta*x, n) and sum_j S(n, j) * falling(x, j)
-    into polynomials in x for every n <= nmax and report both sides;
-    degree n multiplies one more linear factor onto degree n-1.
+    into polynomials in x for every n <= nmax and report both sides.
 
-    The right side is summed on integers, as sum_j T(n, j) * falling(x, j)
-    with T(n, j) = d**n * S(n, j) from ``scaled_rows`` and the integer
-    coefficients of falling(x, j), and divided by d**n once.
+    The left side is the integer walk ``rising_polys``.  The right side is
+    summed on integers, as sum_j T(n, j) * falling(x, j) with T(n, j) =
+    d**n * S(n, j) from ``scaled_rows`` and falling(x, j) an integer row of
+    ``linear_products``, and divided by d**n once.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    a, b = params.alpha, params.beta
-    lhs = linear_products((-a + i, -b) for i in range(nmax))
-    # falling(x, j) has integer coefficients
-    falling = [
-        [c.numerator for c in p.coefficients] for p in linear_products((-j, 1) for j in range(nmax))
-    ]
-    d, rows = scaled_rows(a, b, nmax)
+    falling = linear_products((-j, 1) for j in range(nmax))
+    d, rows = scaled_rows(params.alpha, params.beta, nmax)
     rhs = []
     for n, row in enumerate(rows):
         out = [0] * (n + 1)
@@ -323,9 +306,8 @@ def rising_expansion(params: FamilyParams, nmax: int) -> RisingExpansion:
             if t:
                 for i, c in enumerate(basis):
                     out[i] += t * c
-        scale = d**n
-        rhs.append(QPolynomial(Fraction(v, scale) for v in out))
-    return RisingExpansion(tuple(lhs), tuple(rhs))
+        rhs.append(QPolynomial(Fraction(v, d**n) for v in out))
+    return RisingExpansion(tuple(rising_polys(params.alpha, params.beta, nmax)), tuple(rhs))
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,11 @@ class ExpMonomialSum:
         if beta == 0:
             raise ValueError("the exponential exponent must be nonzero")
         acc: dict[Fraction, Fraction] = {}
-        for gamma, c in terms:
-            g, c = Fraction(gamma), Fraction(c)
-            c += acc.get(g, Fraction(0))
+        for g, c in terms:
+            g = g if isinstance(g, Fraction) else Fraction(g)
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            if g in acc:
+                c += acc[g]
             if c:
                 acc[g] = c
             else:

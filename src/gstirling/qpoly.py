@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .rationals import common_scale
+
 
 class QPolynomial:
     """Immutable polynomial; ``coefficients[i]`` multiplies x**i.
@@ -17,7 +19,7 @@ class QPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
@@ -152,13 +154,30 @@ def combine(coeffs: Sequence, polys: Sequence[QPolynomial]) -> QPolynomial:
     return QPolynomial(out)
 
 
-def linear_products(factors: Iterable[tuple]) -> list[QPolynomial]:
-    """1 followed by the running products of the factors c0 + c1*x,
-    each factor given as the pair (c0, c1)."""
-    out = [QPolynomial.one()]
-    for factor in factors:
-        out.append(out[-1] * QPolynomial(factor))
+def linear_products(factors: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """[1] followed by the running products of the integer factors c0 + c1*x,
+    each factor given as the pair (c0, c1) and each product as its
+    coefficient list, low degree first."""
+    out = [[1]]
+    for c0, c1 in factors:
+        row = [c0 * v for v in out[-1]] + [0]
+        for i, v in enumerate(out[-1]):
+            row[i + 1] += c1 * v
+        out.append(row)
     return out
+
+
+def rising_rows(alpha, beta, nmax: int) -> tuple[int, list[list[int]]]:
+    """(d, rows 0..nmax of d**n * rising(-alpha - beta*x, n)): with (d, a, b)
+    from ``common_scale``, row n is the product of i*d - a - b*x over i < n."""
+    d, a, b = common_scale(Fraction(alpha), Fraction(beta))
+    return d, linear_products((i * d - a, -b) for i in range(nmax))
+
+
+def rising_polys(alpha, beta, nmax: int) -> list[QPolynomial]:
+    """rising(-alpha - beta*x, n) for n = 0..nmax, read off ``rising_rows``."""
+    d, rows = rising_rows(alpha, beta, nmax)
+    return [QPolynomial(Fraction(v, d**n) for v in row) for n, row in enumerate(rows)]
 
 
 def poly_divexact(p: QPolynomial, q: QPolynomial) -> QPolynomial:

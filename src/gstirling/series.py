@@ -60,17 +60,6 @@ def column_rows(head: list, base: list, scale: int, shift: int = 0) -> tuple[tup
     )
 
 
-def gf_rows(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows 0..nmax of the coefficient triangle read off the family's
-    column series at scale d.  Any beta is accepted; at beta = 0 every
-    column past C_0 is zero."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    d, a, b = common_scale(alpha, beta)
-    return column_rows(u_binomial(a, d, nmax), [0] + u_binomial(b, d, nmax)[1:], d)
-
-
 def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
     """Check the closed form of the m-th t-derivative of the family GF.
 
@@ -86,11 +75,11 @@ def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
     The two binomial factors stay separate series, so the check does not
     assume the exponent law (1-t)**a * (1-t)**b = (1-t)**(a+b).
     """
-    return verify_gf_derivatives(alpha, beta, (m,), order)
+    return verify_gf_derivatives(alpha, beta, (m,), order)[0]
 
 
-def verify_gf_derivatives(alpha, beta, ms, order: int) -> bool:
-    """verify_gf_derivative for every m in ms, from one set of columns."""
+def verify_gf_derivatives(alpha, beta, ms, order: int) -> tuple[bool, ...]:
+    """verify_gf_derivative for every m in ms, one verdict each, from one set of columns."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
@@ -99,7 +88,7 @@ def verify_gf_derivatives(alpha, beta, ms, order: int) -> bool:
             raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
     d, a, b = common_scale(alpha, beta)
     cols = columns(u_binomial(a, d, order), [0] + u_binomial(b, d, order)[1:])
-    return all(_derivative_holds(cols, d, b, alpha, beta, m) for m in ms)
+    return tuple(_derivative_holds(cols, d, b, alpha, beta, m) for m in ms)
 
 
 def _derivative_holds(cols: list, d: int, b: int, alpha, beta, m: int) -> bool:

@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 from typing import Sequence
 
-from .qpoly import QPolynomial, combine, linear_products
+from .qpoly import QPolynomial, combine, rising_polys
 from .rationals import common_scale, rising, scaled_row
-from .series import column_rows, gf_rows, u_mul
+from .series import column_rows, u_binomial, u_mul
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -157,9 +157,14 @@ def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     """Triangle extracted from column generating functions, a third route.
 
     Column k of the triangle has exponential generating function
-    C_k = (1/k!) * ((1-t)**beta - 1)**k * (1-t)**alpha, so S(n, k) = n! * C_k[n].
+    C_k = (1/k!) * ((1-t)**beta - 1)**k * (1-t)**alpha, so S(n, k) = n! * C_k[n],
+    read off ``series.column_rows`` at scale d (any beta; at 0 only C_0 is nonzero).
     """
-    return gf_rows(alpha, beta, nmax)
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    d, a, b = common_scale(alpha, beta)
+    return column_rows(u_binomial(a, d, nmax), [0] + u_binomial(b, d, nmax)[1:], d)
 
 
 def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
@@ -312,8 +317,8 @@ def composition_report(alpha, beta, alpha2, beta2, nmax: int) -> CompositionRepo
     composed = triangle_rows(alpha - (alpha2 / beta2) * beta, beta / beta2, nmax)
     left = triangle_rows(alpha, beta, nmax)
     rights = [QPolynomial(row) for row in triangle_rows(alpha2, beta2, nmax)]
-    lhs_rising = linear_products((-alpha + i, -beta) for i in range(nmax))
-    rising_targets = linear_products((-alpha2 + i, -beta2) for i in range(nmax))
+    lhs_rising = rising_polys(alpha, beta, nmax)
+    rising_targets = rising_polys(alpha2, beta2, nmax)
 
     outer_ok = True
     failures: list[tuple[int, int]] = []

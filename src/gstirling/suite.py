@@ -148,6 +148,8 @@ def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 
 
 def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
+    """Forward identity, round trip, and the printed general display, whose
+    weight (-1)**k * alpha**(k-j) * beta**j is (-alpha)**(k-j) * (-beta)**j."""
     params = family.FamilyParams(alpha, beta)
     if not family.verify_bell_basis_forward(params, nmax):
         return False
@@ -155,28 +157,30 @@ def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
         coeffs = family.to_bell_basis(params, n)
         if family.from_bell_basis(coeffs) != family.poly(params, n):
             return False
-    return True
+    powers_a = [(-alpha) ** i for i in range(nmax + 1)]
+    powers_b = [(-beta) ** i for i in range(nmax + 1)]
+    return _bell_display_ok(params, nmax, lambda k, j: powers_a[k - j] * powers_b[j])
 
 
 def _bell_display_ok(params, nmax: int, weight) -> bool:
-    """Bell-basis coefficient j of each member up to nmax must equal the
-    printed display sum_{k=j..n} C(k, j) * |s(n, k)| * weight(k, j)."""
+    """Bell-basis coefficient j of each member up to nmax, which
+    ``family.to_bell_basis`` reads off no Stirling number, must equal the
+    printed display sum_{k=j..n} C(k, j) * |s(n, k)| * weight(k, j).
+    (Inverting the forward basis identity forces the C(k, j) factor; the
+    printed displays omit it, which goes unnoticed where it is 1: alpha = 0,
+    j = n, or n <= 1.)"""
     for n in range(nmax + 1):
         coeffs = family.to_bell_basis(params, n)
+        unsigned = [abs(stirling.stirling1(n, k)) for k in range(n + 1)]
         for j in range(n + 1):
-            display = sum(
-                math.comb(k, j) * abs(stirling.stirling1(n, k)) * weight(k, j)
-                for k in range(j, n + 1)
-            )
+            display = sum(math.comb(k, j) * unsigned[k] * weight(k, j) for k in range(j, n + 1))
             if coeffs[j] != display:
                 return False
     return True
 
 
 def u_bell_display_ok(nmax: int) -> bool:
-    """Bell-basis coefficients of the first specialization must equal
-    sum_{k=j..n} C(k, j) * |s(n, k)| / 2**k (the printed display, with
-    the C(k, j) factor its source omits)."""
+    """The first specialization's printed display, weight 1/2**k."""
     return _bell_display_ok(family.U_PARAMS, nmax, lambda k, j: Fraction(1, 2**k))
 
 
@@ -194,7 +198,7 @@ def addition_ok(alpha: Fraction, beta: Fraction, total: int) -> bool:
 
 
 def gf_derivative_ok(alpha: Fraction, beta: Fraction, mmax: int, order: int) -> bool:
-    return series.verify_gf_derivatives(alpha, beta, range(mmax + 1), order)
+    return all(series.verify_gf_derivatives(alpha, beta, range(mmax + 1), order))
 
 
 def rodrigues_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
@@ -323,9 +327,9 @@ def specializations_ok(nmax: int) -> list[tuple[str, bool]]:
 # at call time, so rebinding one (a test double, a tracer) reaches every
 # line of --all.  Under --identity, four runners print finer lines and call
 # the checks beneath their batch instead: rbell per r, gf-derivative per m
-# on one pair or whenever --m is given, and on one pair rodrigues per n
-# (line n is degree n's verdict from one walk of each route) and
-# bell-operator per lambda.
+# on one pair or whenever --m is given (each m's verdict from one column
+# extraction), and on one pair rodrigues per n (line n is degree n's
+# verdict from one walk of each route) and bell-operator per lambda.
 
 
 def _triple_route(pairs, nmax, mode):
@@ -372,14 +376,13 @@ def _addition(pairs, nmax, mode):
 
 def _gf_derivative(pairs, nmax, mode, m=None, order=None):
     order = nmax + 2 if order is None else order
-    # a negative order still reaches verify_gf_derivative, which rejects it
+    # a negative order still reaches verify_gf_derivatives, which rejects it
     ms = (m,) if m is not None else range(min(nmax, 5, max(order, 0)) + 1)
     for a, b in pairs:
         if mode != "pair" and m is None:
             yield f"{_pair(a, b)} m<={ms[-1]} order={order}", gf_derivative_ok(a, b, ms[-1], order)
             continue
-        for mm in ms:
-            ok = series.verify_gf_derivative(a, b, mm, order)
+        for mm, ok in zip(ms, series.verify_gf_derivatives(a, b, ms, order)):
             yield f"{_pair(a, b)} m={mm} order={order}", ok
 
 

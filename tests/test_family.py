@@ -25,8 +25,7 @@ from gstirling.family import (
 )
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.series import gf_rows
-from gstirling.stirling import lah, partial_r_bell_rows, stirling1
+from gstirling.stirling import gstirling_egf, lah, partial_r_bell_rows, stirling1
 
 F = Fraction
 PAIRS = [
@@ -60,7 +59,7 @@ def test_monomial_collapse():
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_poly_matches_generating_function(params):
-    for n, row in enumerate(gf_rows(params.alpha, params.beta, 10)):
+    for n, row in enumerate(gstirling_egf(params.alpha, params.beta, 10)):
         assert poly(params, n) == QPolynomial(row)
 
 
@@ -268,9 +267,9 @@ def test_u_and_v_small_members():
 
 
 def test_u_v_match_their_generating_functions():
-    for n, row in enumerate(gf_rows(F(-1, 2), F(-1, 2), 8)):
+    for n, row in enumerate(gstirling_egf(F(-1, 2), F(-1, 2), 8)):
         assert family_U(n) == QPolynomial(row)
-    for n, row in enumerate(gf_rows(F(-3, 2), F(-1, 2), 8)):
+    for n, row in enumerate(gstirling_egf(F(-3, 2), F(-1, 2), 8)):
         assert family_V(n) == QPolynomial(row)
 
 

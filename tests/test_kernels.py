@@ -8,8 +8,10 @@ checked against an independent route: the triangle against the closed form
 sum written term by term over ``Fraction``.
 
 The explicit sum, ``family.addition``, the column extraction behind
-``series.gf_rows`` and ``stirling.partial_r_bell_rows``, and the
-gf-derivative check run on integers too.  Each is compared with a
+``stirling.gstirling_egf`` and ``stirling.partial_r_bell_rows``, the
+gf-derivative check, the linear-factor products of
+``qpoly.linear_products`` and the Bell-basis coefficients of
+``family.to_bell_basis`` (one such product) run on integers too.  Each is compared with a
 ``Fraction`` transcription of the loop it replaced, kept below as an
 oracle, together with ``binomial_series`` and ``series_mul``, the
 ``Fraction`` series helpers those loops used (test_series.py tests them).
@@ -30,9 +32,9 @@ from math import comb, factorial, perm
 import pytest
 
 from gstirling import operators, series, stirling, suite
-from gstirling.family import FamilyParams, addition, eval_dobinski, poly
+from gstirling.family import FamilyParams, addition, eval_dobinski, poly, to_bell_basis
 from gstirling.operators import ExpMonomialSum
-from gstirling.qpoly import QPolynomial
+from gstirling.qpoly import QPolynomial, linear_products, rising_polys, rising_rows
 from gstirling.rationals import common_scale, rising, scaled_row
 from gstirling.stirling import gstirling_explicit, scaled_rows, triangle_rows
 
@@ -340,6 +342,29 @@ def _rodrigues_second_fractions(alpha, beta, n):
     return e, e.xshift(alpha + 1) == rhs
 
 
+def _linear_products_fractions(factors):
+    """1 followed by the running products of the factors c0 + c1*x, each
+    one more ``QPolynomial`` product over ``Fraction``."""
+    out = [QPolynomial.one()]
+    for factor in factors:
+        out.append(out[-1] * QPolynomial(factor))
+    return out
+
+
+def _bell_basis_fractions(alpha, beta, n):
+    """The printed general Bell display, summed over ``Fraction``:
+    coefficient j is beta**j * sum_{k=j..n} (-1)**k * |s(n, k)| * C(k, j)
+    * alpha**(k-j)."""
+    out = []
+    for j in range(n + 1):
+        inner = Fraction(0)
+        for k in range(j, n + 1):
+            term = abs(stirling.stirling1(n, k)) * comb(k, j) * alpha ** (k - j)
+            inner += term if k % 2 == 0 else -term
+        out.append(beta**j * inner)
+    return out
+
+
 def _partial_r_bell_fractions(r, nmax, a, b):
     base = (Fraction(0),) + tuple(Fraction(a[j]) / factorial(j + 1) for j in range(nmax))
     head = (Fraction(1),) + (Fraction(0),) * nmax
@@ -365,7 +390,7 @@ def _check_addition(alpha, beta, n, m):
 
 
 def _check_gf_rows(alpha, beta, nmax):
-    rows = series.gf_rows(alpha, beta, nmax)
+    rows = stirling.gstirling_egf(alpha, beta, nmax)
     assert rows == _egf_rows(_family_columns_fractions(alpha, beta, nmax))
     assert all(type(v) is Fraction for row in rows for v in row)
 
@@ -378,9 +403,30 @@ def _check_gf_derivative(monkeypatch, alpha, beta, m, order, bump):
         return value + bump if k == n // 2 else value
 
     monkeypatch.setattr(stirling, "gstirling_explicit", explicit)
-    verdict = series.verify_gf_derivatives(alpha, beta, (m,), order)
+    (verdict,) = series.verify_gf_derivatives(alpha, beta, (m,), order)
     assert verdict == _derivative_holds_fractions(alpha, beta, m, order, explicit)
     assert verdict == (bump == 0)
+
+
+def _check_rising(alpha, beta, nmax):
+    """The integer rows of rising(-alpha - beta*x, n) and of falling(x, n),
+    and the Bell-basis coefficients read off the first, against the
+    ``Fraction`` walk and the printed display."""
+    expected = _linear_products_fractions((-alpha + i, -beta) for i in range(nmax))
+    d, rows = rising_rows(alpha, beta, nmax)
+    assert d == common_scale(alpha, beta)[0]
+    for n, row in enumerate(rows):
+        assert all(type(v) is int for v in row)
+        assert QPolynomial(Fraction(v, d**n) for v in row) == expected[n]
+    assert rising_polys(alpha, beta, nmax) == expected
+    falling = linear_products((-j, 1) for j in range(nmax))
+    assert [QPolynomial(row) for row in falling] == _linear_products_fractions(
+        (-j, 1) for j in range(nmax)
+    )
+    for n in range(nmax + 1):
+        coeffs = to_bell_basis(FamilyParams(alpha, beta), n)
+        assert coeffs == _bell_basis_fractions(alpha, beta, n)
+        assert all(type(v) is Fraction for v in coeffs)
 
 
 def _check_partial_r_bell(r, nmax, a, b):
@@ -432,6 +478,12 @@ def test_gf_derivative_matches_the_fraction_check(monkeypatch, alpha, beta, bump
     rng = random.Random(str((alpha, beta, bump)))
     order = rng.randint(2, 20)
     _check_gf_derivative(monkeypatch, alpha, beta, rng.randint(1, min(order, 6)), order, bump)
+
+
+@pytest.mark.parametrize("alpha, beta", ORACLE_PAIRS)
+def test_rising_rows_and_bell_basis_match_the_fraction_walk(alpha, beta):
+    _check_rising(alpha, beta, 12)
+    _check_rising(alpha, beta, 0)
 
 
 def test_rodrigues_second_walk_matches_the_derivative_route():
@@ -494,6 +546,11 @@ def test_replaced_kernels_on_hypothesis_draws(monkeypatch):
         _check_gf_derivative(monkeypatch, alpha, beta, m, m + extra, bump)
 
     @settings
+    @hypothesis.given(alphas, betas, st.integers(0, 12))
+    def risings(alpha, beta, nmax):
+        _check_rising(alpha, beta, nmax)
+
+    @settings
     @hypothesis.given(st.integers(0, 3), st.integers(0, 20).flatmap(
         lambda nmax: st.tuples(
             st.just(nmax),
@@ -507,4 +564,5 @@ def test_replaced_kernels_on_hypothesis_draws(monkeypatch):
     explicit_and_gf_rows()
     additions()
     derivatives()
+    risings()
     partial_r_bells()

@@ -6,7 +6,8 @@ import pytest
 from gstirling import stirling
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.series import gf_rows, verify_gf_derivative
+from gstirling.series import verify_gf_derivative
+from gstirling.stirling import gstirling_egf
 from test_kernels import binomial_series, series_mul
 
 F = Fraction
@@ -56,25 +57,25 @@ def test_series_mul_rejects_mismatched_orders():
 
 def test_exp_coefficient_matches_family_member():
     # 2! * [t^2] exp(x*((1-t)^-1 - 1)) is the degree-2 member at (0, -1)
-    assert QPolynomial(gf_rows(0, -1, 4)[2]) == QPolynomial((0, 2, 1))
+    assert QPolynomial(gstirling_egf(0, -1, 4)[2]) == QPolynomial((0, 2, 1))
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_gf_first_members(alpha, beta):
-    ps = [QPolynomial(row) for row in gf_rows(alpha, beta, 3)]
+    ps = [QPolynomial(row) for row in gstirling_egf(alpha, beta, 3)]
     assert ps[0] == QPolynomial.one()
     assert ps[1] == QPolynomial((-alpha, -beta))
 
 
 def test_gf_collapses_at_0_1():
-    ps = [QPolynomial(row) for row in gf_rows(0, 1, 5)]
+    ps = [QPolynomial(row) for row in gstirling_egf(0, 1, 5)]
     for n, p in enumerate(ps):
         assert p == QPolynomial.monomial(n, F(-1) ** n)
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_gf_degree_and_leading_coefficient(alpha, beta):
-    for n, row in enumerate(gf_rows(alpha, beta, 8)):
+    for n, row in enumerate(gstirling_egf(alpha, beta, 8)):
         p = QPolynomial(row)
         assert p.degree == n
         assert p.lead == (-beta) ** n

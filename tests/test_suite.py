@@ -65,6 +65,21 @@ def test_specializations_detect_a_wrong_bell_coefficient(monkeypatch, params, de
 
 
 
+def test_bell_displays_detect_a_wrong_first_kind_stirling_number(monkeypatch):
+    # the displays read |s(n, k)| from the cached signed rows; the Bell-basis
+    # coefficients they are compared with must not, or one wrong s(4, 2)
+    # would sit on both sides and go unseen
+    rows = stirling._stirling_rows(1, 8)
+    bumped = rows[4][:2] + (rows[4][2] + 1,) + rows[4][3:]
+    monkeypatch.setitem(stirling._TRIANGLES, ("stirling", 1), rows[:4] + (bumped,) + rows[5:])
+    assert not suite.u_bell_display_ok(6)
+    results = suite.specializations_ok(6)
+    lines = [detail for detail, _ in results if detail.startswith("family=")]
+    assert len(lines) == 8
+    assert [detail for detail, ok in results if not ok] == lines
+    assert not suite.bell_basis_ok(family.U_PARAMS.alpha, family.U_PARAMS.beta, 6)
+
+
 def test_addition_detects_a_wrong_triangle_entry(monkeypatch):
     # the addition formula reads rows m and j <= n of the triangle; with
     # entry (3, 1) bumped, n + m = 3 splits into a sum of unbumped rows
