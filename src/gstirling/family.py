@@ -22,7 +22,6 @@ from .stirling import (
     scaled_rows,
     stirling2,
     triangle_row,
-    triangle_rows,
 )
 
 
@@ -41,8 +40,9 @@ class FamilyParams:
 
 
 def poly(params: FamilyParams, n: int) -> QPolynomial:
-    """Degree-n member of the family, with triangle row n as coefficients
-    (``triangle_row``: no other row is reduced to ``Fraction``s for it)."""
+    """Degree-n member of the family, with triangle row n as coefficients:
+    integer row n of the pair's cached triangle reduced over d**n
+    (``triangle_row``), the only row turned into ``Fraction``s for it."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return QPolynomial(triangle_row(params.alpha, params.beta, n))
@@ -205,7 +205,7 @@ def rebase(params_from: FamilyParams, params_to: FamilyParams, n: int) -> list[F
         raise ValueError(f"n must be >= 0, got {n}")
     a, b = params_from.alpha, params_from.beta
     a2, b2 = params_to.alpha, params_to.beta
-    composed = triangle_rows(a - (a2 / b2) * b, b / b2, n)[n]
+    composed = triangle_row(a - (a2 / b2) * b, b / b2, n)
     return [composed[j] if j % 2 == 0 else -composed[j] for j in range(n + 1)]
 
 
@@ -213,11 +213,21 @@ def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
     """Degree n+m member assembled by the index-splitting formula:
 
     sum_{j<=n} sum_{k<=m} C(n, j) * rising(m - beta*k, n-j) * S(m, k)
-        * x**k * family_j(x).
+        * x**k * family_j(x),
 
-    Every term is an integer over d**(n+m) (``common_scale``): d**(n-j) *
-    rising(m - beta*k, n-j) is prod_{l<n-j} (m*d - b*k + l*d), and rows m
-    and j are the integers d**m * S(m, k) and d**j * S(j, i) of ``scaled_rows``.
+    the integers of ``scaled_addition`` over d**(n+m).
+    """
+    d, out = scaled_addition(params, n, m)
+    return QPolynomial(Fraction(v, d ** (n + m)) for v in out)
+
+
+def scaled_addition(params: FamilyParams, n: int, m: int) -> tuple[int, list[int]]:
+    """(d, the coefficients of ``addition`` times d**(n+m)), d from ``common_scale``.
+
+    Every term is an integer over d**(n+m): d**(n-j) * rising(m - beta*k, n-j)
+    is prod_{l<n-j} (m*d - b*k + l*d), and rows m and j are the integers
+    d**m * S(m, k) and d**j * S(j, i) of ``scaled_rows``, so the result
+    compares with T(n+m, .) of ``scaled_rows`` on integers.
     """
     if n < 0 or m < 0:
         raise ValueError(f"n and m must be >= 0, got (n={n}, m={m})")
@@ -234,8 +244,7 @@ def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
                 # scalar * x**k * family_j(x), family_j having row j as coefficients
                 for i, c in enumerate(row_j):
                     out[i + k] += scalar * c
-    scale = d ** (n + m)
-    return QPolynomial(Fraction(v, scale) for v in out)
+    return d, out
 
 
 U_PARAMS = FamilyParams(Fraction(-1, 2), Fraction(-1, 2))

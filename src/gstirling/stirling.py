@@ -6,15 +6,15 @@ polynomial family in the monomial basis.  Around it sit its inverse
 triangle, the classical Stirling numbers of both kinds, Lah and r-Lah
 numbers, and partial (r-)Bell polynomials, each of which specializes or
 transports the central triangle.  The whole-triangle accessors
-(``triangle_rows``, ``gstirling_table``, ``gstirling_egf``,
-``partial_r_bell_rows``) return tuples of rows; ``partial_r_bell_rows``
-reads whole partial r-Bell triangles off the integer column extraction of
-the family triangle, ``series.column_rows``, and callers index into them.
-The Lah and r-Lah numbers have a closed form.  ``_TRIANGLES`` is the
-package's only cache; it keeps the family triangle of each pair as
-integer rows scaled by a power of the common denominator (``scaled_rows``)
-and as ``Fraction`` rows (``triangle_rows``), each form grown only when a
-caller reads it.
+``triangle_rows``, ``gstirling_egf`` and ``partial_r_bell_rows`` return
+tuples of rows, and ``gstirling_table`` yields its rows one at a time;
+``partial_r_bell_rows`` reads whole partial r-Bell triangles off the
+integer column extraction of the family triangle, ``series.column_rows``,
+and callers index into them.  The Lah and r-Lah numbers have a closed form.
+``_TRIANGLES`` is the package's only cache; it keeps the family triangle
+of each pair in one form, integer rows scaled by a power of the common
+denominator (``scaled_rows``), grown only when a caller reads them.  A
+``Fraction`` row is built from them only where a caller reads one.
 """
 
 from __future__ import annotations
@@ -56,15 +56,12 @@ def _grown(rows: tuple, nmax: int, step) -> tuple:
 @dataclass
 class _Triangle:
     """The ``_TRIANGLES`` entry of one (alpha, beta): the integer rows
-    T(m, k) = d**m * S(m, k) of ``scaled_rows`` and the ``Fraction`` rows of
-    S of ``triangle_rows``, each grown only when asked for, so a process
-    that reads one form of a large triangle never holds the other."""
+    T(m, k) = d**m * S(m, k) of ``scaled_rows``, grown only when asked for."""
 
     scale: int  # (scale, a, b) is (d, alpha*d, beta*d) of ``common_scale``
     a: int
     b: int
     rows: tuple = ((1,),)
-    reduced: tuple = ((Fraction(1),),)
 
     def step(self, m: int, row: tuple) -> tuple:
         """Integer row m+1 from integer row m.
@@ -78,15 +75,6 @@ class _Triangle:
         return tuple((m * d - a - b * j) * padded[j + 1] - b * padded[j] for j in range(m + 2))
 
 
-def _pair_triangle(alpha: Fraction, beta: Fraction, nmax: int) -> _Triangle:
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    entry = _TRIANGLES.get((alpha, beta))
-    if entry is None:
-        entry = _TRIANGLES[(alpha, beta)] = _Triangle(*common_scale(alpha, beta))
-    return entry
-
-
 def scaled_rows(
     alpha: Fraction, beta: Fraction, nmax: int
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -96,46 +84,37 @@ def scaled_rows(
     callers that need one row reduce only that.  One triangle is kept per
     (alpha, beta) and grown when a larger nmax is asked for.
     """
-    entry = _pair_triangle(alpha, beta, nmax)
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    entry = _TRIANGLES.get((alpha, beta))
+    if entry is None:
+        entry = _TRIANGLES[(alpha, beta)] = _Triangle(*common_scale(alpha, beta))
     entry.rows = _grown(entry.rows, nmax, entry.step)
     return entry.scale, entry.rows[: nmax + 1]
 
 
+def _reduced(d: int, rows: tuple, first: int = 0):
+    """Rows first.. of integer ``rows`` at scale d as ``Fraction`` rows of S,
+    each reduced to lowest terms as it is read."""
+    for n in range(first, len(rows)):
+        scale = d**n
+        yield tuple(Fraction(v, scale) for v in rows[n])
+
+
 def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows 0..nmax of S(n, k) as ``Fraction``s, kept in the pair's entry.
-
-    Each new row is reduced to lowest terms once.  It is read off the
-    pair's integer rows where ``scaled_rows`` has grown them that far, and
-    otherwise stepped from the last row scaled back to integers
-    (``scaled_row``), so the integer rows are not grown for it.
-    """
-    entry = _pair_triangle(alpha, beta, nmax)
-    d = entry.scale
-
-    def step(m, row):
-        ints = entry.rows[m + 1] if m + 1 < len(entry.rows) else entry.step(m, scaled_row(row, d**m))
-        scale = d ** (m + 1)
-        return tuple(Fraction(v, scale) for v in ints)
-
-    entry.reduced = _grown(entry.reduced, nmax, step)
-    return entry.reduced[: nmax + 1]
+    """Rows 0..nmax of S(n, k) as ``Fraction``s, reduced from ``scaled_rows``."""
+    return tuple(_reduced(*scaled_rows(alpha, beta, nmax)))
 
 
 def triangle_row(alpha: Fraction, beta: Fraction, n: int) -> tuple[Fraction, ...]:
-    """Row n of S(n, k) as ``Fraction``s: the stored row where
-    ``triangle_rows`` has grown that far, else row n of ``scaled_rows``
-    reduced alone."""
-    entry = _pair_triangle(alpha, beta, n)
-    if n < len(entry.reduced):
-        return entry.reduced[n]
-    d, rows = scaled_rows(alpha, beta, n)
-    scale = d**n
-    return tuple(Fraction(v, scale) for v in rows[n])
+    """Row n of S(n, k) as ``Fraction``s: row n of ``scaled_rows`` over d**n."""
+    return next(_reduced(*scaled_rows(alpha, beta, n), n))
 
 
-def gstirling_table(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows 0..nmax of the triangle by its recurrence (the default, cheapest route)."""
-    return triangle_rows(Fraction(alpha), Fraction(beta), nmax)
+def gstirling_table(alpha, beta, nmax: int):
+    """Rows 0..nmax of the triangle by its recurrence (the default, cheapest
+    route), yielded one at a time, each reduced to ``Fraction``s as it is read."""
+    return _reduced(*scaled_rows(Fraction(alpha), Fraction(beta), nmax))
 
 
 def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
@@ -174,8 +153,8 @@ def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the inverse triangle requires beta != 0")
-    value = triangle_rows(-alpha / beta, 1 / beta, n)[n][k]
-    return value if (n - k) % 2 == 0 else -value
+    d, rows = scaled_rows(-alpha / beta, 1 / beta, n)
+    return Fraction((-1) ** (n - k) * rows[n][k], d**n)
 
 
 def _stirling_rows(kind: int, nmax: int) -> tuple[tuple[int, ...], ...]:

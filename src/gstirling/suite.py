@@ -189,10 +189,13 @@ def rbell_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 
 
 def addition_ok(alpha: Fraction, beta: Fraction, total: int) -> bool:
+    """The index-splitting sum of degree n+m against triangle row n+m, both
+    as integers at scale d**(n+m)."""
     params = family.FamilyParams(alpha, beta)
+    _, rows = stirling.scaled_rows(alpha, beta, total)
     for n in range(total + 1):
         for m in range(total + 1 - n):
-            if family.addition(params, n, m) != family.poly(params, n + m):
+            if family.scaled_addition(params, n, m)[1] != list(rows[n + m]):
                 return False
     return True
 
@@ -240,16 +243,13 @@ def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int) -> tuple[bool
 
 
 def log_concave_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
-    """Newton inequality plus entrywise nonnegativity on the hypothesis set."""
+    """Newton inequality plus entrywise nonnegativity on the hypothesis set,
+    read on the integer rows T(n, k) = d**n * S(n, k), which share S's signs."""
     params = family.FamilyParams(alpha, beta)
-    rows = stirling.triangle_rows(alpha, beta, nmax)
-    for n in range(nmax + 1):
-        if any(v < 0 for v in rows[n]):
-            return False
-    for n in range(2, nmax + 1):
-        if not zeros.check_newton_logconcave(params, n):
-            return False
-    return True
+    _, rows = stirling.scaled_rows(alpha, beta, nmax)
+    if any(v < 0 for row in rows for v in row):
+        return False
+    return all(zeros.check_newton_logconcave(params, n) for n in range(2, nmax + 1))
 
 
 def _dobinski_close(params, n: int, scale: int = 1) -> bool:
@@ -308,11 +308,9 @@ def specializations_ok(nmax: int) -> list[tuple[str, bool]]:
 
     ok = True
     for n in range(7):
-        for k in range(n + 1):
-            if stirling.triangle_rows(Fraction(-2), Fraction(-1), n)[n][k] != stirling.rlah(
-                1, n + 1, k + 1
-            ):
-                ok = False
+        row = stirling.triangle_row(Fraction(-2), Fraction(-1), n)
+        if row != tuple(stirling.rlah(1, n + 1, k + 1) for k in range(n + 1)):
+            ok = False
     results.append(("r-lah-remark r=1 n<=6", ok))
     return results
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .family import FamilyParams, poly
 from .qpoly import QPolynomial, poly_divexact, remainder_sequence
-from .stirling import triangle_rows
+from .stirling import scaled_rows
 
 REGION_MAIN = "A"
 REGION_SECONDARY = "A-tilde"
@@ -284,7 +284,9 @@ def check_newton_logconcave(params: FamilyParams, n: int) -> bool:
     """Strict-log-concavity inequality on triangle row n:
 
     S(n, k)**2 >= (1 + 1/k) * (1 + 1/(n-k)) * S(n, k+1) * S(n, k-1)
-    for 1 <= k <= n-1, in exact arithmetic.
+    for 1 <= k <= n-1, in exact arithmetic.  Multiplied by k*(n-k)*d**(2n) > 0
+    it reads k*(n-k) * T(n, k)**2 >= (k+1)*(n-k+1) * T(n, k+1) * T(n, k-1)
+    on the integer row T(n, .) = d**n * S(n, .) of ``scaled_rows``.
 
     Only the hypothesis alpha <= 0, beta < 0 is accepted; outside it the
     claim is not made and the parameters are rejected.
@@ -295,10 +297,8 @@ def check_newton_logconcave(params: FamilyParams, n: int) -> bool:
         )
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    row = triangle_rows(params.alpha, params.beta, n)[n]
-    for k in range(1, n):
-        lhs = row[k] ** 2
-        rhs = (1 + Fraction(1, k)) * (1 + Fraction(1, n - k)) * row[k + 1] * row[k - 1]
-        if lhs < rhs:
-            return False
-    return True
+    row = scaled_rows(params.alpha, params.beta, n)[1][n]
+    return all(
+        k * (n - k) * row[k] ** 2 >= (k + 1) * (n - k + 1) * row[k + 1] * row[k - 1]
+        for k in range(1, n)
+    )

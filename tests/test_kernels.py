@@ -1,7 +1,8 @@
 """Property tests of the integer kernels on random rational parameters.
 
-``stirling.triangle_rows`` steps the triangle on integers scaled by a power
-of the common denominator d of (alpha, beta), and ``family.eval_dobinski``
+The triangle is cached in one form, the integer rows T(m, k) = d**m * S(m, k)
+of ``stirling.scaled_rows``, d the common denominator of (alpha, beta);
+``stirling.triangle_rows`` reduces them over d**m.  ``family.eval_dobinski``
 sums its series as one integer numerator over d**n * q**k * k!.  Each is
 checked against an independent route: the triangle against the closed form
 ``gstirling_explicit``, the series against ``_dobinski_fractions``, the same
@@ -16,10 +17,11 @@ gf-derivative check, the linear-factor products of
 oracle, together with ``binomial_series`` and ``series_mul``, the
 ``Fraction`` series helpers those loops used (test_series.py tests them).
 The second Rodrigues route walks one Euler step per degree; the n-fold
-derivative it replaced is kept below as its oracle.  The triangle is also
-kept as integer rows T(m, k) = d**m * S(m, k) (``stirling.scaled_rows``);
-the ``Fraction`` step, which scales each stored row back to integers with
-``scaled_row``, is the oracle for those rows.
+derivative it replaced is kept below as its oracle.  The ``Fraction``
+step, which scales each row back to integers with ``scaled_row``, is the
+oracle for the integer rows, and the ``Fraction`` form of the Newton
+inequality is the oracle for ``zeros.check_newton_logconcave``, which reads
+the integer rows.
 Each property runs on a seeded ``random.Random`` draw and, when hypothesis
 is installed, on its draws too.
 """
@@ -31,7 +33,7 @@ from math import comb, factorial, perm
 
 import pytest
 
-from gstirling import operators, series, stirling, suite
+from gstirling import operators, series, stirling, suite, zeros
 from gstirling.family import FamilyParams, addition, eval_dobinski, poly, to_bell_basis
 from gstirling.operators import ExpMonomialSum
 from gstirling.qpoly import QPolynomial, linear_products, rising_polys, rising_rows
@@ -178,13 +180,51 @@ def test_poly_and_triangle_rows_agree_in_either_order(monkeypatch, poly_first):
 
 
 def test_triangle_rows_grown_past_the_integer_rows_match_the_fraction_step(monkeypatch):
-    # rows 0..9 are read off the integer rows, rows 10..20 are stepped from
-    # the last of them
+    # rows 0..9 are grown first; triangle_rows(20) grows the integer rows on
+    # to 20 and reduces every row from them
     for alpha, beta, _ in TRIANGLE_DRAWS:
         monkeypatch.setattr(stirling, "_TRIANGLES", {})
         scaled_rows(alpha, beta, 9)
         assert list(triangle_rows(alpha, beta, 20)) == _fraction_step_rows(alpha, beta, 20)
-        assert len(stirling._TRIANGLES[(alpha, beta)].rows) == 10
+        assert len(stirling._TRIANGLES[(alpha, beta)].rows) == 21
+
+
+def _newton_fractions(row):
+    """The Newton inequality of ``zeros.check_newton_logconcave`` on one
+    ``Fraction`` row, as written before it moved to the integer rows."""
+    n = len(row) - 1
+    return all(
+        row[k] ** 2 >= (1 + F(1, k)) * (1 + F(1, n - k)) * row[k + 1] * row[k - 1]
+        for k in range(1, n)
+    )
+
+
+# alpha <= 0 and beta < 0, where log-concavity is claimed
+LOGCONCAVE_RNG = random.Random(20261021)
+LOGCONCAVE_PAIRS = [(F(0), F(-1)), (F(-1, 2), F(-1, 2)), (F(-11, 6), F(-14, 9))] + [
+    (_rational(LOGCONCAVE_RNG, -3, 0, 12), -_rational(LOGCONCAVE_RNG, 0, 3, 12) or F(-1, 7))
+    for _ in range(5)
+]
+
+
+@pytest.mark.parametrize("alpha, beta", LOGCONCAVE_PAIRS)
+def test_newton_inequality_on_integer_rows_matches_the_fraction_inequality(monkeypatch, alpha, beta):
+    # each row as stored, then with one interior entry shrunk: the integer
+    # check and the Fraction oracle must give the same verdict on both
+    params = FamilyParams(alpha, beta)
+    d, rows = scaled_rows(alpha, beta, 25)
+    rng = random.Random(str((alpha, beta)))
+    shrunk_verdicts = []
+    for n in range(2, 26):
+        assert zeros.check_newton_logconcave(params, n) == _newton_fractions(triangle_rows(alpha, beta, n)[n])
+        k = rng.randint(1, n - 1)
+        shrunk = rows[n][:k] + (rows[n][k] * rng.randint(1, 9) // 10,) + rows[n][k + 1 :]
+        with monkeypatch.context() as patch:
+            patch.setattr(zeros, "scaled_rows", lambda a, b, nmax: (d, rows[:n] + (shrunk,)))
+            verdict = zeros.check_newton_logconcave(params, n)
+        assert verdict == _newton_fractions(tuple(F(v, d**n) for v in shrunk))
+        shrunk_verdicts.append(verdict)
+    assert not all(shrunk_verdicts)
 
 
 DOBINSKI_RNG = random.Random(17)

@@ -1,10 +1,12 @@
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from gstirling import stirling
+from gstirling.family import FamilyParams, poly
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
 from gstirling.stirling import (
@@ -18,6 +20,7 @@ from gstirling.stirling import (
     rlah,
     stirling1,
     stirling2,
+    triangle_row,
     triangle_rows,
     verify_rbell_connection,
 )
@@ -121,7 +124,7 @@ def test_explicit_base_cases():
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_diagonal_and_edges(alpha, beta):
-    rows = gstirling_table(alpha, beta, 8)
+    rows = tuple(gstirling_table(alpha, beta, 8))
     for n in range(9):
         assert rows[n][n] == (-beta) ** n
         assert rows[n][0] == rising(-alpha, n)
@@ -130,12 +133,12 @@ def test_diagonal_and_edges(alpha, beta):
 
 def test_table_row_two_at_one_one():
     # recurrence from row 1 = [-1, -1]; the diagonal entry is (-beta)^2 = 1
-    assert gstirling_table(1, 1, 2)[2] == (0, 2, 1)
+    assert tuple(gstirling_table(1, 1, 2))[2] == (0, 2, 1)
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_three_route_agreement(alpha, beta):
-    rows = gstirling_table(alpha, beta, 8)
+    rows = tuple(gstirling_table(alpha, beta, 8))
     egf = gstirling_egf(alpha, beta, 8)
     for n in range(9):
         for k in range(n + 1):
@@ -149,7 +152,7 @@ def test_three_route_agreement(alpha, beta):
 def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
     assert (alpha, beta) not in GRID
     monkeypatch.setattr(stirling, "_TRIANGLES", {})
-    seen = []
+    seen, stored = [], []
     for nmax in (9, 3, 12, 0):
         rows = triangle_rows(alpha, beta, nmax)
         assert len(rows) == nmax + 1
@@ -160,14 +163,42 @@ def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
             common = min(len(earlier), len(rows))
             assert rows[:common] == earlier[:common]
         seen.append(rows)
-    # one entry for the pair, its Fraction rows grown to the largest nmax
-    # asked for and rows stored earlier kept, not rebuilt; triangle_rows
-    # grows no integer rows
+        stored.append(stirling._TRIANGLES[(alpha, beta)].rows)
+    # one entry for the pair, its integer rows grown to the largest nmax
+    # asked for and rows stored earlier kept, not rebuilt
     assert list(stirling._TRIANGLES) == [(alpha, beta)]
     entry = stirling._TRIANGLES[(alpha, beta)]
-    assert len(entry.reduced) == 13 and len(entry.rows) == 1
-    for earlier in seen:
-        assert all(entry.reduced[n] is row for n, row in enumerate(earlier))
+    assert len(entry.rows) == 13
+    for earlier in stored:
+        assert all(entry.rows[n] is row for n, row in enumerate(earlier))
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_the_cache_stores_integer_rows_only_and_the_table_is_yielded(monkeypatch):
+    # every reader of the triangle reduces rows to Fractions itself; the
+    # cache keeps the integer rows alone, and the table is not held whole
+    alpha, beta = F(7, 5), F(-4, 3)
+    assert (alpha, beta) not in GRID
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    rows = triangle_rows(alpha, beta, 6)
+    assert triangle_row(alpha, beta, 9) == tuple(gstirling_explicit(alpha, beta, 9, k) for k in range(10))
+    assert poly(FamilyParams(alpha, beta), 4).coefficients == rows[4]
+    table = gstirling_table(alpha, beta, 11)
+    assert isinstance(table, Iterator)
+    assert tuple(table)[:7] == rows
+    assert gstirling_inverse(alpha, beta, 5, 2) != 0
+    d, scaled = stirling.scaled_rows(alpha, beta, 12)
+    assert d == 15 and len(scaled) == 13
+    assert sorted(stirling._TRIANGLES) == sorted([(alpha, beta), (-alpha / beta, 1 / beta)])
+    for entry in stirling._TRIANGLES.values():
+        assert all(type(v) is int for field in vars(entry).values() for v in _leaves(field))
 
 
 def test_table_bounds_checked():
@@ -200,7 +231,7 @@ def test_inverse_of_diagonal_family():
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_inverse_matrix_identity(alpha, beta):
     nmax = 8
-    rows = gstirling_table(alpha, beta, nmax)
+    rows = tuple(gstirling_table(alpha, beta, nmax))
     for n in range(nmax + 1):
         for k in range(n + 1):
             acc = sum(
@@ -238,7 +269,7 @@ def test_rlah_closed_form():
 
 def test_rlah_matches_reciprocal_laguerre_table():
     # the (-2, -1) triangle lists the r = 1 numbers with both indices shifted
-    rows = gstirling_table(-2, -1, 6)
+    rows = tuple(gstirling_table(-2, -1, 6))
     for n in range(7):
         for k in range(n + 1):
             assert rows[n][k] == rlah(1, n + 1, k + 1)
@@ -284,7 +315,7 @@ def test_partial_r_bell_constant_term():
 def test_partial_r_bell_matches_triangle_instance():
     a = [rising(F(1, 2), j) for j in range(1, 7)]
     b = [rising(F(1, 2), j) for j in range(7)]
-    assert partial_r_bell_rows(1, 6, a, b) == gstirling_table(F(-1, 2), F(-1, 2), 6)
+    assert partial_r_bell_rows(1, 6, a, b) == tuple(gstirling_table(F(-1, 2), F(-1, 2), 6))
 
 
 def _oracle_partial_bell(n, k, a):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling import family, stirling, suite
+from gstirling import family, stirling, suite, zeros
 
 F = Fraction
 
@@ -27,16 +27,17 @@ def test_rebase_roundtrip_detects_a_wrong_coefficient(monkeypatch):
 def test_inverse_pair_detects_a_wrong_inverse_entry(monkeypatch):
     # the inverse triangle of (1, -2) is read off the triangle at (1/2, -1/2);
     # its entry (3, 1) enters row 3 of the inverse and no earlier row
-    right = stirling.triangle_rows
+    right = stirling.scaled_rows
 
     def wrong(alpha, beta, nmax):
-        rows = right(alpha, beta, nmax)
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1), d = 2
+        d, rows = right(alpha, beta, nmax)
         if (alpha, beta) != (F(1, 2), F(-1, 2)) or nmax < 3:
-            return rows
-        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
-        return rows[:3] + (bumped,) + rows[4:]
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
 
-    monkeypatch.setattr(stirling, "triangle_rows", wrong)
+    monkeypatch.setattr(stirling, "scaled_rows", wrong)
     assert suite.inverse_pair_ok(F(1), F(-2), 2)
     assert not suite.inverse_pair_ok(F(1), F(-2), 4)
 
@@ -97,6 +98,26 @@ def test_addition_detects_a_wrong_triangle_entry(monkeypatch):
     for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(2)), (F(-3, 2), F(1, 2))):
         assert suite.addition_ok(alpha, beta, 2)
         assert not suite.addition_ok(alpha, beta, 3)
+
+
+def test_log_concave_detects_one_shrunk_integer_entry(monkeypatch):
+    # T(6, 3) halved stays positive, so the Newton inequality at (6, 3) is
+    # what must notice it, in every binding the check reads the rows through
+    alpha, beta, n, k = F(-1, 2), F(-3, 2), 6, 3
+    assert suite.log_concave_ok(alpha, beta, 8)
+    right = stirling.scaled_rows
+
+    def wrong(a, b, nmax):
+        d, rows = right(a, b, nmax)
+        if nmax < n:
+            return d, rows
+        shrunk = rows[n][:k] + (rows[n][k] // 2,) + rows[n][k + 1 :]
+        return d, rows[:n] + (shrunk,) + rows[n + 1 :]
+
+    monkeypatch.setattr(stirling, "scaled_rows", wrong)
+    monkeypatch.setattr(zeros, "scaled_rows", wrong)
+    assert suite.log_concave_ok(alpha, beta, n - 1)
+    assert not suite.log_concave_ok(alpha, beta, 8)
 
 
 @pytest.mark.parametrize("route", ["gstirling_explicit", "gstirling_egf"])
