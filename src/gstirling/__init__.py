@@ -10,16 +10,14 @@ claims through signed remainder chains.
 from .family import (
     FamilyParams,
     addition,
-    bell_poly,
+    bell_rows,
     derivative_recurrence_step,
     eval_dobinski,
     family_assoc_lah,
     family_laguerre,
     family_U,
     family_V,
-    from_bell_basis,
     lah_rebase_report,
-    monomial_to_family,
     poly,
     rebase,
     rising_expansion,

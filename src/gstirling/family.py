@@ -14,15 +14,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
-from .qpoly import QPolynomial, combine, linear_products, rising_polys, rising_rows
-from .rationals import common_scale, rising
-from .stirling import (
-    gstirling_inverse,
-    lah,
-    scaled_rows,
-    stirling2,
-    triangle_row,
-)
+from .qpoly import QPolynomial, linear_products, rising_polys, rising_rows, triangle_product
+from .rationals import common_scale, rising, scaled_row
+from .stirling import lah, scaled_rows, stirling2, triangle_row
 
 
 @dataclass(frozen=True)
@@ -60,11 +54,12 @@ def derivative_recurrence_step(params: FamilyParams, p_n: QPolynomial, n: int) -
     return linear * p_n - QPolynomial((0, b)) * p_n.derivative()
 
 
-def bell_poly(n: int) -> QPolynomial:
-    """Bell polynomial: second-kind Stirling numbers as coefficients."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return QPolynomial(stirling2(n, k) for k in range(n + 1))
+def bell_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient rows of the Bell polynomials Bell_0..Bell_nmax: row n
+    holds the second-kind Stirling numbers S2(n, 0..n)."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    return tuple(tuple(stirling2(n, k) for k in range(n + 1)) for n in range(nmax + 1))
 
 
 # eval_dobinski sums at least 4*|x| exact terms, each longer as |x| grows;
@@ -164,35 +159,20 @@ def to_bell_basis(params: FamilyParams, n: int) -> list[Fraction]:
     return [Fraction(v, d**n) for v in rows[n]]
 
 
-def from_bell_basis(coeffs) -> QPolynomial:
-    """Reassemble a polynomial from Bell-basis coefficients."""
-    coeffs = [Fraction(c) for c in coeffs]
-    return combine(coeffs, [bell_poly(j) for j in range(len(coeffs))])
-
-
 def verify_bell_basis_forward(params: FamilyParams, nmax: int) -> bool:
     """Check the forward Bell-basis identity for every n <= nmax:
 
     sum_k (-1)**k * S2(n, k) * family_k(x)
-        = sum_k C(n, k) * alpha**(n-k) * beta**k * Bell_k(x).
+        = sum_k C(n, k) * alpha**(n-k) * beta**k * Bell_k(x),
+
+    both sides times d**n as integer triangle products ((d, a, b) from ``common_scale``).
     """
-    a, b = params.alpha, params.beta
-    members = [poly(params, k) for k in range(nmax + 1)]
-    bells = [bell_poly(k) for k in range(nmax + 1)]
-    for n in range(nmax + 1):
-        lhs = combine([(-1) ** k * stirling2(n, k) for k in range(n + 1)], members)
-        rhs = combine([comb(n, k) * a ** (n - k) * b**k for k in range(n + 1)], bells)
-        if lhs != rhs:
-            return False
-    return True
-
-
-def monomial_to_family(params: FamilyParams, n: int) -> list[Fraction]:
-    """Expansion coefficients of x**n in the family basis (inverse-triangle
-    row n); substituting the family members back reconstructs x**n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return [gstirling_inverse(params.alpha, params.beta, n, k) for k in range(n + 1)]
+    d, a, b = common_scale(params.alpha, params.beta)
+    _, rows = scaled_rows(params.alpha, params.beta, nmax)
+    bells = bell_rows(nmax)
+    signed = [[v if k % 2 == 0 else -v for k, v in enumerate(row)] for row in bells]
+    weights = [[comb(n, k) * a ** (n - k) * b**k for k in range(n + 1)] for n in range(nmax + 1)]
+    return triangle_product(signed, rows, d) == triangle_product(weights, bells)
 
 
 def rebase(params_from: FamilyParams, params_to: FamilyParams, n: int) -> list[Fraction]:
@@ -207,6 +187,21 @@ def rebase(params_from: FamilyParams, params_to: FamilyParams, n: int) -> list[F
     a2, b2 = params_to.alpha, params_to.beta
     composed = triangle_row(a - (a2 / b2) * b, b / b2, n)
     return [composed[j] if j % 2 == 0 else -composed[j] for j in range(n + 1)]
+
+
+def reconstructs(coeff_rows, params_to: FamilyParams, params_from: FamilyParams) -> bool:
+    """Whether row n of coeff_rows, summed against the members of params_to,
+    is member n of params_from for every n: on integers, with row n lifted
+    by the lcm L of its denominators, at scale L * d_to**n * d_from**n."""
+    nmax = len(coeff_rows) - 1
+    d_from, source = scaled_rows(params_from.alpha, params_from.beta, nmax)
+    d_to, target = scaled_rows(params_to.alpha, params_to.beta, nmax)
+    scales = [math.lcm(*(v.denominator for v in row)) for row in coeff_rows]
+    product = triangle_product([scaled_row(r, s) for r, s in zip(coeff_rows, scales)], target, d_to)
+    return all(
+        [v * d_from**n for v in product[n]] == [v * scales[n] * d_to**n for v in source[n]]
+        for n in range(nmax + 1)
+    )
 
 
 def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
@@ -300,22 +295,16 @@ def rising_expansion(params: FamilyParams, nmax: int) -> RisingExpansion:
     into polynomials in x for every n <= nmax and report both sides.
 
     The left side is the integer walk ``rising_polys``.  The right side is
-    summed on integers, as sum_j T(n, j) * falling(x, j) with T(n, j) =
-    d**n * S(n, j) from ``scaled_rows`` and falling(x, j) an integer row of
-    ``linear_products``, and divided by d**n once.
+    the integer triangle product of T(n, j) = d**n * S(n, j) from
+    ``scaled_rows`` with the falling-factorial rows of ``linear_products``,
+    divided by d**n once.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     falling = linear_products((-j, 1) for j in range(nmax))
     d, rows = scaled_rows(params.alpha, params.beta, nmax)
-    rhs = []
-    for n, row in enumerate(rows):
-        out = [0] * (n + 1)
-        for t, basis in zip(row, falling):
-            if t:
-                for i, c in enumerate(basis):
-                    out[i] += t * c
-        rhs.append(QPolynomial(Fraction(v, d**n) for v in out))
+    product = triangle_product(rows, falling)
+    rhs = [QPolynomial(Fraction(v, d**n) for v in row) for n, row in enumerate(product)]
     return RisingExpansion(tuple(rising_polys(params.alpha, params.beta, nmax)), tuple(rhs))
 
 
@@ -343,17 +332,10 @@ def lah_rebase_report(params: FamilyParams, nmax: int) -> LahRebaseReport:
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     mirrored = FamilyParams(-params.alpha, -params.beta)
-    members = [poly(mirrored, k) for k in range(nmax + 1)]
-    alternating_ok = True
-    constant_ok = True
-    for n in range(nmax + 1):
-        coeffs = rebase(params, mirrored, n)
-        unsigned = [lah(n, k) for k in range(n + 1)]
-        if coeffs != [c if k % 2 == 0 else -c for k, c in enumerate(unsigned)]:
-            alternating_ok = False
-        target = poly(params, n)
-        if combine(coeffs, members) != target:
-            alternating_ok = False
-        if combine(unsigned, members) != target:
-            constant_ok = False
-    return LahRebaseReport(ok=alternating_ok, constant_sign_ok=constant_ok)
+    coeffs = [rebase(params, mirrored, n) for n in range(nmax + 1)]
+    unsigned = [[lah(n, k) for k in range(n + 1)] for n in range(nmax + 1)]
+    signed = [[c if k % 2 == 0 else -c for k, c in enumerate(row)] for row in unsigned]
+    return LahRebaseReport(
+        ok=coeffs == signed and reconstructs(coeffs, mirrored, params),
+        constant_sign_ok=reconstructs(unsigned, mirrored, params),
+    )

@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
 
-from .family import bell_poly
-from .qpoly import combine
+from .family import bell_rows
+from .qpoly import triangle_product
 from .rationals import falling
 from .stirling import triangle_rows
 
@@ -206,7 +206,8 @@ def verify_bell_operator(alpha, beta, lam, nmax: int) -> bool:
     missing from the operator, and the left side written as a Bell
     polynomial at a shifted argument); its own derivation carries
     beta**(-n) * (x*d/dx - alpha)**n and the lam**(n-j) weights verified
-    here, and only this form holds for beta != 1 or lam != 0.
+    here, and only this form holds for beta != 1 or lam != 0.  With lam = p/q,
+    q**n times the Bell sum is an integer triangle product.
     """
     alpha, beta, lam = Fraction(alpha), Fraction(beta), Fraction(lam)
     if beta == 0:
@@ -214,14 +215,15 @@ def verify_bell_operator(alpha, beta, lam, nmax: int) -> bool:
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
 
-    bells = [bell_poly(j) for j in range(nmax + 1)]
+    p, q = lam.numerator, lam.denominator
+    weights = [[comb(n, j) * p ** (n - j) * q**j for j in range(n + 1)] for n in range(nmax + 1)]
+    shifted_bells = triangle_product(weights, bell_rows(nmax))
     e = ExpMonomialSum.monomial(beta, alpha)
     inv_beta = 1 / beta
     for n in range(nmax + 1):
         if n:
             e = e.euler_shift(lam * beta - alpha).scale(inv_beta)
-        shifted_bell = combine([comb(n, j) * lam ** (n - j) for j in range(n + 1)], bells)
-        lhs = ExpMonomialSum(beta, ((beta * i, c) for i, c in enumerate(shifted_bell.coefficients)))
+        lhs = ExpMonomialSum(beta, ((beta * i, Fraction(c, q**n)) for i, c in enumerate(shifted_bells[n])))
         if lhs != e.xshift(-alpha):
             return False
     return True

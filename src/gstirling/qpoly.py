@@ -138,20 +138,24 @@ class QPolynomial:
         return QPolynomial(quo), QPolynomial(rem[:dd])
 
 
-def combine(coeffs: Sequence, polys: Sequence[QPolynomial]) -> QPolynomial:
-    """sum_j coeffs[j] * polys[j], summed in one coefficient list.
+def triangle_product(left: Sequence, right: Sequence, scale: int = 1) -> list[list]:
+    """Row n is sum_j left[n][j] * scale**(n-j) * right[j], low degree first.
 
-    ``polys`` may be longer than ``coeffs``; its extra members are unused.
+    With row j of ``right`` carrying scale**j, row n of the product carries
+    it too, and integer rows give integer rows; ``right`` may be longer.
     """
-    if len(polys) < len(coeffs):
-        raise ValueError(f"{len(coeffs)} coefficients for {len(polys)} polynomials")
-    out: list[Fraction] = []
-    for c, p in zip(coeffs, polys):
-        if c:
-            out.extend([Fraction(0)] * (len(p._coeffs) - len(out)))
-            for i, v in enumerate(p._coeffs):
-                out[i] += c * v
-    return QPolynomial(out)
+    out = []
+    for n, row in enumerate(left):
+        if len(right) < len(row):
+            raise ValueError(f"row {n} has {len(row)} entries for {len(right)} rows")
+        acc = [0] * max((len(right[j]) for j in range(len(row))), default=0)
+        for j, c in enumerate(row):
+            if c:
+                c *= scale ** (n - j)
+                for i, v in enumerate(right[j]):
+                    acc[i] += c * v
+        out.append(acc)
+    return out
 
 
 def linear_products(factors: Iterable[tuple[int, int]]) -> list[list[int]]:

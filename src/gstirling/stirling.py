@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 from typing import Sequence
 
-from .qpoly import QPolynomial, combine, rising_polys
+from .qpoly import rising_rows, triangle_product
 from .rationals import common_scale, rising, scaled_row
 from .series import column_rows, u_binomial, u_mul
 
@@ -146,15 +146,23 @@ def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
     return column_rows(u_binomial(a, d, nmax), [0] + u_binomial(b, d, nmax)[1:], d)
 
 
-def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
-    """Entry of the inverse triangle: (-1)**(n-k) * S'(n, k) where S' is the
-    triangle at parameters (-alpha/beta, 1/beta)."""
-    _check_indices(n, k)
+def scaled_inverse_rows(alpha, beta, nmax: int) -> tuple[int, list[list[int]]]:
+    """(d', rows 0..nmax of the inverse triangle times d'**n): entry (n, k) is
+    (-1)**(n-k) * T'(n, k), T' the ``scaled_rows`` of the triangle at the
+    parameters (-alpha/beta, 1/beta) and d' their common denominator."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the inverse triangle requires beta != 0")
-    d, rows = scaled_rows(-alpha / beta, 1 / beta, n)
-    return Fraction((-1) ** (n - k) * rows[n][k], d**n)
+    d, rows = scaled_rows(-alpha / beta, 1 / beta, nmax)
+    return d, [[v if (n - k) % 2 == 0 else -v for k, v in enumerate(row)] for n, row in enumerate(rows)]
+
+
+def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
+    """Entry of the inverse triangle: (-1)**(n-k) * S'(n, k) where S' is the
+    triangle at parameters (-alpha/beta, 1/beta) (``scaled_inverse_rows``)."""
+    _check_indices(n, k)
+    d, rows = scaled_inverse_rows(alpha, beta, n)
+    return Fraction(rows[n][k], d**n)
 
 
 def _stirling_rows(kind: int, nmax: int) -> tuple[tuple[int, ...], ...]:
@@ -293,22 +301,24 @@ def composition_report(alpha, beta, alpha2, beta2, nmax: int) -> CompositionRepo
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
 
-    composed = triangle_rows(alpha - (alpha2 / beta2) * beta, beta / beta2, nmax)
-    left = triangle_rows(alpha, beta, nmax)
-    rights = [QPolynomial(row) for row in triangle_rows(alpha2, beta2, nmax)]
-    lhs_rising = rising_polys(alpha, beta, nmax)
-    rising_targets = rising_polys(alpha2, beta2, nmax)
+    # row n of each sum carries (dc * d2)**n, row n of T and R carries d**n
+    dc, composed = scaled_rows(alpha - (alpha2 / beta2) * beta, beta / beta2, nmax)
+    d, left = scaled_rows(alpha, beta, nmax)
+    d2, right = scaled_rows(alpha2, beta2, nmax)
+    _, lhs_rising = rising_rows(alpha, beta, nmax)
+    _, rising_targets = rising_rows(alpha2, beta2, nmax)
+    signed = [[c if j % 2 == 0 else -c for j, c in enumerate(row)] for row in composed]
+    index_sums, index_risings = (triangle_product(signed, t, d2) for t in (right, rising_targets))
+    outer_sums, outer_risings = (triangle_product(composed, t, d2) for t in (right, rising_targets))
 
     outer_ok = True
     failures: list[tuple[int, int]] = []
     for n in range(nmax + 1):
-        plain = composed[n]
-        signed = [c if j % 2 == 0 else -c for j, c in enumerate(plain)]
-        index_sum, outer_sum = combine(signed, rights), combine(plain, rights)
-        failures += [(n, k) for k in range(n + 1) if index_sum.coeff(k) != left[n][k]]
-        outer_ok &= all((-1) ** k * outer_sum.coeff(k) == left[n][k] for k in range(n + 1))
-        if combine(signed, rising_targets) != lhs_rising[n]:
+        up, down = d**n, (dc * d2) ** n
+        failures += [(n, k) for k in range(n + 1) if index_sums[n][k] * up != left[n][k] * down]
+        outer_ok &= all((-1) ** k * outer_sums[n][k] * up == left[n][k] * down for k in range(n + 1))
+        if [v * up for v in index_risings[n]] != [v * down for v in lhs_rising[n]]:
             failures.append((n, -1))
-        outer_ok &= (-1) ** n * combine(plain, rising_targets) == lhs_rising[n]
+        outer_ok &= [(-1) ** n * v * up for v in outer_risings[n]] == [v * down for v in lhs_rising[n]]
 
     return CompositionReport(ok=not failures, outer_sign_ok=outer_ok, failures=tuple(failures))

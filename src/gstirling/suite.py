@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import family, operators, series, stirling, zeros
-from .qpoly import QPolynomial, combine
+from .qpoly import QPolynomial, rising_rows, triangle_product
 from .rationals import falling, rising
 
 GRID_ALPHAS = tuple(
@@ -138,25 +138,27 @@ def recurrence_chain_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 
 
 def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
-    """Inverse-triangle row n, summed against the family members, is x**n."""
-    params = family.FamilyParams(alpha, beta)
-    members = [family.poly(params, j) for j in range(nmax + 1)]
+    """Inverse-triangle row n, summed against the family members, is x**n: on
+    integers, the inverse rows (scale d') times T (scale d) give (d*d')**n * x**n."""
+    d, rows = stirling.scaled_rows(alpha, beta, nmax)
+    d_inv, inverse = stirling.scaled_inverse_rows(alpha, beta, nmax)
     return all(
-        combine(family.monomial_to_family(params, n), members) == QPolynomial.monomial(n)
-        for n in range(nmax + 1)
+        row == [0] * n + [(d * d_inv) ** n]
+        for n, row in enumerate(triangle_product(inverse, rows, d))
     )
 
 
 def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     """Forward identity, round trip, and the printed general display, whose
-    weight (-1)**k * alpha**(k-j) * beta**j is (-alpha)**(k-j) * (-beta)**j."""
+    weight (-1)**k * alpha**(k-j) * beta**j is (-alpha)**(k-j) * (-beta)**j.
+    The round trip: the Bell-basis rows of ``rising_rows`` times the Bell rows are T."""
     params = family.FamilyParams(alpha, beta)
     if not family.verify_bell_basis_forward(params, nmax):
         return False
-    for n in range(nmax + 1):
-        coeffs = family.to_bell_basis(params, n)
-        if family.from_bell_basis(coeffs) != family.poly(params, n):
-            return False
+    _, rows = stirling.scaled_rows(alpha, beta, nmax)
+    _, bell_coeffs = rising_rows(alpha, beta, nmax)
+    if triangle_product(bell_coeffs, family.bell_rows(nmax)) != [list(row) for row in rows]:
+        return False
     powers_a = [(-alpha) ** i for i in range(nmax + 1)]
     powers_b = [(-beta) ** i for i in range(nmax + 1)]
     return _bell_display_ok(params, nmax, lambda k, j: powers_a[k - j] * powers_b[j])
@@ -220,11 +222,8 @@ def bell_operator_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 def rebase_roundtrip_ok(source, target, nmax: int) -> bool:
     p_from = family.FamilyParams(*source)
     p_to = family.FamilyParams(*target)
-    members = [family.poly(p_to, j) for j in range(nmax + 1)]
-    for n in range(nmax + 1):
-        if combine(family.rebase(p_from, p_to, n), members) != family.poly(p_from, n):
-            return False
-    return True
+    coeffs = [family.rebase(p_from, p_to, n) for n in range(nmax + 1)]
+    return family.reconstructs(coeffs, p_to, p_from)
 
 
 def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int) -> tuple[bool, int]:

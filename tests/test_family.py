@@ -7,16 +7,14 @@ from gstirling import family
 from gstirling.family import (
     FamilyParams,
     addition,
-    bell_poly,
+    bell_rows,
     derivative_recurrence_step,
     eval_dobinski,
     family_assoc_lah,
     family_laguerre,
     family_U,
     family_V,
-    from_bell_basis,
     lah_rebase_report,
-    monomial_to_family,
     poly,
     rebase,
     rising_expansion,
@@ -25,7 +23,7 @@ from gstirling.family import (
 )
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.stirling import gstirling_egf, lah, partial_r_bell_rows, stirling1
+from gstirling.stirling import gstirling_egf, gstirling_inverse, lah, partial_r_bell_rows, stirling1
 
 F = Fraction
 PAIRS = [
@@ -123,6 +121,19 @@ def test_dobinski_rejects_bad_epsilon():
 # Bell polynomial basis
 
 
+def bell_poly(n):
+    """Bell_n as a polynomial, read off row n of ``bell_rows``."""
+    return QPolynomial(bell_rows(n)[n])
+
+
+def from_bell_basis(coeffs):
+    """sum_j coeffs[j] * Bell_j, the polynomial with those Bell-basis coefficients."""
+    rebuilt = QPolynomial()
+    for j, c in enumerate(coeffs):
+        rebuilt = rebuilt + c * bell_poly(j)
+    return rebuilt
+
+
 def test_bell_poly_values():
     assert bell_poly(0) == QPolynomial.one()
     assert bell_poly(3) == QPolynomial((0, 1, 3, 1))
@@ -161,6 +172,11 @@ def test_u_coefficients_display():
 
 # ---------------------------------------------------------------------------
 # basis transport
+
+
+def monomial_to_family(params, n):
+    """Expansion coefficients of x**n in the family basis: inverse-triangle row n."""
+    return [gstirling_inverse(params.alpha, params.beta, n, k) for k in range(n + 1)]
 
 
 def test_monomial_expansion_base_cases():
@@ -209,14 +225,18 @@ def test_lah_rebase_signs():
 
 
 def _bump_member(monkeypatch, target, degree):
-    """Make family.poly return member ``degree`` at ``target`` plus 1."""
-    right = family.poly
+    """Make member ``degree`` at ``target`` one more, as the family checks
+    read it: entry (degree, 0) of ``family.scaled_rows`` plus d**degree."""
+    right = family.scaled_rows
 
-    def wrong(params, n):
-        p = right(params, n)
-        return p + QPolynomial.one() if (params, n) == (target, degree) else p
+    def wrong(alpha, beta, nmax):
+        d, rows = right(alpha, beta, nmax)
+        if (alpha, beta) != (target.alpha, target.beta) or nmax < degree:
+            return d, rows
+        bumped = (rows[degree][0] + d**degree,) + rows[degree][1:]
+        return d, rows[:degree] + (bumped,) + rows[degree + 1 :]
 
-    monkeypatch.setattr(family, "poly", wrong)
+    monkeypatch.setattr(family, "scaled_rows", wrong)
 
 
 def test_bell_basis_forward_detects_a_wrong_member(monkeypatch):

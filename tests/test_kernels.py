@@ -22,10 +22,19 @@ step, which scales each row back to integers with ``scaled_row``, is the
 oracle for the integer rows, and the ``Fraction`` form of the Newton
 inequality is the oracle for ``zeros.check_newton_logconcave``, which reads
 the integer rows.
+The connection identities (the Bell-basis forward identity and round trip,
+the inverse pair, the Bell-operator left side, rebase, Lah rebase,
+composition and the right side of the rising expansion) are integer
+products of coefficient triangles through ``qpoly.triangle_product``.
+``_combine_fractions``, a transcription of the ``QPolynomial`` sum they
+replaced, and the ``Fraction`` bodies of those checks are kept below as
+oracles: on correct triangles and on triangles with one entry bumped in
+the cache, both routes must give the same verdicts.
 Each property runs on a seeded ``random.Random`` draw and, when hypothesis
 is installed, on its draws too.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -33,10 +42,10 @@ from math import comb, factorial, perm
 
 import pytest
 
-from gstirling import operators, series, stirling, suite, zeros
+from gstirling import family, operators, series, stirling, suite, zeros
 from gstirling.family import FamilyParams, addition, eval_dobinski, poly, to_bell_basis
 from gstirling.operators import ExpMonomialSum
-from gstirling.qpoly import QPolynomial, linear_products, rising_polys, rising_rows
+from gstirling.qpoly import QPolynomial, linear_products, rising_polys, rising_rows, triangle_product
 from gstirling.rationals import common_scale, rising, scaled_row
 from gstirling.stirling import gstirling_explicit, scaled_rows, triangle_rows
 
@@ -606,3 +615,292 @@ def test_replaced_kernels_on_hypothesis_draws(monkeypatch):
     derivatives()
     risings()
     partial_r_bells()
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles of the connection identities: each check as it summed
+# ``QPolynomial``s through ``combine`` before ``qpoly.triangle_product``
+
+
+def _combine_fractions(coeffs, polys):
+    """sum_j coeffs[j] * polys[j], summed in one ``Fraction`` coefficient list;
+    ``polys`` may be longer than ``coeffs``."""
+    if len(polys) < len(coeffs):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(polys)} polynomials")
+    out = []
+    for c, p in zip(coeffs, polys):
+        if c:
+            out.extend([Fraction(0)] * (len(p.coefficients) - len(out)))
+            for i, v in enumerate(p.coefficients):
+                out[i] += c * v
+    return QPolynomial(out)
+
+
+def _bell_polys_fractions(nmax):
+    return [QPolynomial(stirling.stirling2(n, k) for k in range(n + 1)) for n in range(nmax + 1)]
+
+
+def _bell_forward_fractions(params, nmax):
+    a, b = params.alpha, params.beta
+    members = [poly(params, k) for k in range(nmax + 1)]
+    bells = _bell_polys_fractions(nmax)
+    for n in range(nmax + 1):
+        lhs = _combine_fractions([(-1) ** k * stirling.stirling2(n, k) for k in range(n + 1)], members)
+        rhs = _combine_fractions([comb(n, k) * a ** (n - k) * b**k for k in range(n + 1)], bells)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _bell_basis_fractions_ok(alpha, beta, nmax):
+    """``suite.bell_basis_ok`` with the forward identity and the round trip
+    summed over ``Fraction``; the display check is shared."""
+    params = FamilyParams(alpha, beta)
+    if not _bell_forward_fractions(params, nmax):
+        return False
+    bells = _bell_polys_fractions(nmax)
+    for n in range(nmax + 1):
+        if _combine_fractions(to_bell_basis(params, n), bells) != poly(params, n):
+            return False
+    powers_a = [(-alpha) ** i for i in range(nmax + 1)]
+    powers_b = [(-beta) ** i for i in range(nmax + 1)]
+    return suite._bell_display_ok(params, nmax, lambda k, j: powers_a[k - j] * powers_b[j])
+
+
+def _inverse_pair_fractions(alpha, beta, nmax):
+    params = FamilyParams(alpha, beta)
+    members = [poly(params, j) for j in range(nmax + 1)]
+    for n in range(nmax + 1):
+        inverse = stirling.triangle_row(-alpha / beta, 1 / beta, n)
+        row = [(-1) ** (n - k) * inverse[k] for k in range(n + 1)]
+        if _combine_fractions(row, members) != QPolynomial.monomial(n):
+            return False
+    return True
+
+
+def _bell_operator_fractions(alpha, beta, lam, nmax):
+    bells = _bell_polys_fractions(nmax)
+    e = ExpMonomialSum.monomial(beta, alpha)
+    for n in range(nmax + 1):
+        if n:
+            e = e.euler_shift(lam * beta - alpha).scale(1 / beta)
+        shifted = _combine_fractions([comb(n, j) * lam ** (n - j) for j in range(n + 1)], bells)
+        lhs = ExpMonomialSum(beta, ((beta * i, c) for i, c in enumerate(shifted.coefficients)))
+        if lhs != e.xshift(-alpha):
+            return False
+    return True
+
+
+def _rebase_roundtrip_fractions(source, target, nmax):
+    p_from, p_to = FamilyParams(*source), FamilyParams(*target)
+    members = [poly(p_to, j) for j in range(nmax + 1)]
+    return all(
+        _combine_fractions(family.rebase(p_from, p_to, n), members) == poly(p_from, n)
+        for n in range(nmax + 1)
+    )
+
+
+def _lah_rebase_fractions(params, nmax):
+    mirrored = FamilyParams(-params.alpha, -params.beta)
+    members = [poly(mirrored, k) for k in range(nmax + 1)]
+    alternating_ok = constant_ok = True
+    for n in range(nmax + 1):
+        coeffs = family.rebase(params, mirrored, n)
+        unsigned = [stirling.lah(n, k) for k in range(n + 1)]
+        if coeffs != [c if k % 2 == 0 else -c for k, c in enumerate(unsigned)]:
+            alternating_ok = False
+        target = poly(params, n)
+        if _combine_fractions(coeffs, members) != target:
+            alternating_ok = False
+        if _combine_fractions(unsigned, members) != target:
+            constant_ok = False
+    return family.LahRebaseReport(ok=alternating_ok, constant_sign_ok=constant_ok)
+
+
+def _composition_fractions(alpha, beta, alpha2, beta2, nmax):
+    composed = triangle_rows(alpha - (alpha2 / beta2) * beta, beta / beta2, nmax)
+    left = triangle_rows(alpha, beta, nmax)
+    rights = [QPolynomial(row) for row in triangle_rows(alpha2, beta2, nmax)]
+    lhs_rising = rising_polys(alpha, beta, nmax)
+    rising_targets = rising_polys(alpha2, beta2, nmax)
+    outer_ok = True
+    failures = []
+    for n in range(nmax + 1):
+        plain = composed[n]
+        signed = [c if j % 2 == 0 else -c for j, c in enumerate(plain)]
+        index_sum = _combine_fractions(signed, rights)
+        outer_sum = _combine_fractions(plain, rights)
+        failures += [(n, k) for k in range(n + 1) if index_sum.coeff(k) != left[n][k]]
+        outer_ok &= all((-1) ** k * outer_sum.coeff(k) == left[n][k] for k in range(n + 1))
+        if _combine_fractions(signed, rising_targets) != lhs_rising[n]:
+            failures.append((n, -1))
+        outer_ok &= (-1) ** n * _combine_fractions(plain, rising_targets) == lhs_rising[n]
+    return stirling.CompositionReport(
+        ok=not failures, outer_sign_ok=outer_ok, failures=tuple(failures)
+    )
+
+
+def _rising_expansion_fractions(params, nmax):
+    """Both sides of the rising expansion, the right one sum_j S(n, j) *
+    falling(x, j) summed over ``Fraction``."""
+    alpha, beta = params.alpha, params.beta
+    falling = _linear_products_fractions((-j, 1) for j in range(nmax))
+    rhs = tuple(_combine_fractions(row, falling) for row in triangle_rows(alpha, beta, nmax))
+    return family.RisingExpansion(tuple(rising_polys(alpha, beta, nmax)), rhs)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the combine oracle, and both routes of each check
+
+
+def _random_rows(rng, count, make):
+    """``count`` rows, row n of length n + 1 or a random length up to n + 3,
+    entries from ``make`` and about a third of them zero."""
+    return [
+        [make() if rng.random() < 0.7 else 0 for _ in range(rng.choice((n + 1, rng.randint(0, n + 3))))]
+        for n in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("fractions", [False, True])
+def test_triangle_product_matches_combine(seed, fractions):
+    rng = random.Random(seed)
+    if fractions:
+        make = lambda: _rational(rng, -5, 5, 9)
+    else:
+        make = lambda: rng.randint(-10**6, 10**6)
+    rows = rng.randint(0, 9)
+    left = [row[: n + 1] for n, row in enumerate(_random_rows(rng, rows, make))]
+    right = _random_rows(rng, rows + seed % 3, make)  # right is 0, 1 or 2 rows longer
+    scale = rng.choice((1, 2, 6, 35))
+    product = triangle_product(left, right, scale)
+    polys = [QPolynomial(row) for row in right]
+    assert len(product) == len(left)
+    for n, row in enumerate(product):
+        weighted = [c * scale ** (n - j) for j, c in enumerate(left[n])]
+        assert QPolynomial(row) == _combine_fractions(weighted, polys)
+        assert fractions or all(type(v) is int for v in row)
+
+
+def test_triangle_product_rejects_a_row_longer_than_right():
+    with pytest.raises(ValueError, match="row 1 has 2 entries for 1 rows"):
+        triangle_product([[1], [1, 1]], [[1]])
+    with pytest.raises(ValueError):
+        _combine_fractions([1, 1], [QPolynomial.one()])
+
+
+def _connection_verdicts(alpha, beta, alpha2, beta2, nmax):
+    """(name, integer route, Fraction route) for each connection check."""
+    params = FamilyParams(alpha, beta)
+    source, target = (alpha, beta), (alpha2, beta2)
+    checks = [
+        ("bell-forward", family.verify_bell_basis_forward, _bell_forward_fractions, (params, nmax)),
+        ("bell-basis", suite.bell_basis_ok, _bell_basis_fractions_ok, (alpha, beta, nmax)),
+        ("inverse-pair", suite.inverse_pair_ok, _inverse_pair_fractions, (alpha, beta, nmax)),
+        ("rebase", suite.rebase_roundtrip_ok, _rebase_roundtrip_fractions, (source, target, nmax)),
+        ("lah-rebase", family.lah_rebase_report, _lah_rebase_fractions, (params, nmax)),
+        ("composition", stirling.composition_report, _composition_fractions, (*source, *target, nmax)),
+        ("rising-expansion", family.rising_expansion, _rising_expansion_fractions, (params, nmax)),
+    ] + [
+        (f"bell-operator lambda={lam}", operators.verify_bell_operator, _bell_operator_fractions,
+         (alpha, beta, lam, nmax))
+        for lam in (F(0), F(2, 3), alpha / beta)
+    ]
+    for name, new, old, args in checks:
+        yield name, new(*args), old(*args)
+
+
+def _holds(verdict) -> bool:
+    if isinstance(verdict, family.RisingExpansion):
+        return verdict.equal
+    return verdict if isinstance(verdict, bool) else verdict.ok
+
+
+# the cached triangles the connection checks read, by role
+def _triangle_keys(alpha, beta, alpha2, beta2):
+    return {
+        "source": (alpha, beta),
+        "target": (alpha2, beta2),
+        "composed": (alpha - (alpha2 / beta2) * beta, beta / beta2),
+        "inverse": (-alpha / beta, 1 / beta),
+        "mirrored": (-alpha, -beta),
+        "lah-composed": (F(0), F(-1)),
+        "bell": ("stirling", 2),
+    }
+
+
+def _bump_cached_entry(patch, key, nmax, n, k):
+    """Replace the cached rows of ``key`` by the same rows with the integer
+    entry (n, k) one more, n <= nmax; every later reader sees the bump."""
+    if key == ("stirling", 2):
+        rows = stirling._stirling_rows(2, nmax)
+    else:
+        scaled_rows(*key, nmax)
+        rows = stirling._TRIANGLES[key].rows
+    bumped = rows[:n] + (rows[n][:k] + (rows[n][k] + 1,) + rows[n][k + 1 :],) + rows[n + 1 :]
+    if key != ("stirling", 2):
+        bumped = dataclasses.replace(stirling._TRIANGLES[key], rows=bumped)
+    patch.setitem(stirling._TRIANGLES, key, bumped)
+
+
+def _check_connections(monkeypatch, alpha, beta, alpha2, beta2, nmax, bump=None):
+    """Every connection check on both routes, after bumping the entry
+    ``bump`` = (role, n, k) of one cached triangle, if given; the two
+    routes must agree, and the result is whether every check held."""
+    with monkeypatch.context() as patch:
+        if bump is not None:
+            role, n, k = bump
+            _bump_cached_entry(patch, _triangle_keys(alpha, beta, alpha2, beta2)[role], nmax, n, k)
+        held = True
+        for name, new, old in _connection_verdicts(alpha, beta, alpha2, beta2, nmax):
+            assert new == old, name
+            held &= _holds(new)
+    return held
+
+
+CONNECTION_NMAX = 7
+
+
+def _bumps(rng, alpha, beta, alpha2, beta2, nmax):
+    """One bump (role, n, k) with n >= 1 for each cached triangle the checks read."""
+    for role in _triangle_keys(alpha, beta, alpha2, beta2):
+        n = rng.randint(1, nmax)
+        yield role, n, rng.randint(0, n)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_PAIRS)))
+def test_connection_checks_match_the_fraction_sums(monkeypatch, index):
+    # each pair against the next one; every triangle read by some check,
+    # bumped, must fail one of them
+    alpha, beta = ORACLE_PAIRS[index]
+    alpha2, beta2 = ORACLE_PAIRS[(index + 1) % len(ORACLE_PAIRS)]
+    assert _check_connections(monkeypatch, alpha, beta, alpha2, beta2, CONNECTION_NMAX)
+    rng = random.Random(str((alpha, beta, alpha2, beta2)))
+    for bump in _bumps(rng, alpha, beta, alpha2, beta2, CONNECTION_NMAX):
+        held = _check_connections(monkeypatch, alpha, beta, alpha2, beta2, CONNECTION_NMAX, bump)
+        assert not held, bump
+
+
+def test_connection_checks_on_hypothesis_draws(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def rationals(lo, hi, max_den):
+        return st.integers(1, max_den).flatmap(
+            lambda den: st.builds(F, st.integers(lo * den, hi * den), st.just(den))
+        )
+
+    alphas, betas = rationals(-3, 3, 12), rationals(-3, 3, 12).filter(bool)
+    roles = st.sampled_from(sorted(_triangle_keys(F(0), F(1), F(0), F(1))))
+
+    rngs = st.randoms(use_true_random=False)
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(alphas, betas, alphas, betas, st.integers(1, 6), roles, rngs)
+    def connections(alpha, beta, alpha2, beta2, nmax, role, rng):
+        assert _check_connections(monkeypatch, alpha, beta, alpha2, beta2, nmax)
+        n = rng.randint(1, nmax)
+        _check_connections(monkeypatch, alpha, beta, alpha2, beta2, nmax, (role, n, rng.randint(0, n)))
+
+    connections()

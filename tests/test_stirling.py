@@ -434,16 +434,17 @@ def test_composition_sign_resolution():
 def test_composition_rising_half_detects_a_wrong_composed_entry(monkeypatch):
     # (1, -1) through (0, -2) composes at (1, 1/2); entry (3, 1) there
     # feeds the rising identity at n = 3 and no other
-    right = stirling.triangle_rows
+    right = stirling.scaled_rows
 
     def wrong(alpha, beta, nmax):
-        rows = right(alpha, beta, nmax)
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1), d = 2
+        d, rows = right(alpha, beta, nmax)
         if (alpha, beta) != (F(1), F(1, 2)) or nmax < 3:
-            return rows
-        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
-        return rows[:3] + (bumped,) + rows[4:]
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
 
-    monkeypatch.setattr(stirling, "triangle_rows", wrong)
+    monkeypatch.setattr(stirling, "scaled_rows", wrong)
     report = composition_report(F(1), F(-1), F(0), F(-2), 4)
     assert not report.ok
     assert (3, -1) in report.failures
@@ -453,16 +454,17 @@ def test_composition_rising_half_detects_a_wrong_composed_entry(monkeypatch):
 def test_composition_triangle_half_detects_a_wrong_target_entry(monkeypatch):
     # entry (2, 1) of the (0, -2) triangle enters column 1 of every row n >= 2
     # of the triangle identity; the rising identity does not read that triangle
-    right = stirling.triangle_rows
+    right = stirling.scaled_rows
 
     def wrong(alpha, beta, nmax):
-        rows = right(alpha, beta, nmax)
+        # entry (2, 1) of S bumped by 1: its integer row holds d**2 * S(2, 1), d = 1
+        d, rows = right(alpha, beta, nmax)
         if (alpha, beta) != (F(0), F(-2)) or nmax < 2:
-            return rows
-        bumped = rows[2][:1] + (rows[2][1] + 1,) + rows[2][2:]
-        return rows[:2] + (bumped,) + rows[3:]
+            return d, rows
+        bumped = rows[2][:1] + (rows[2][1] + d**2,) + rows[2][2:]
+        return d, rows[:2] + (bumped,) + rows[3:]
 
-    monkeypatch.setattr(stirling, "triangle_rows", wrong)
+    monkeypatch.setattr(stirling, "scaled_rows", wrong)
     report = composition_report(F(1), F(-1), F(0), F(-2), 4)
     assert not report.ok
     assert set(report.failures) == {(2, 1), (3, 1), (4, 1)}

@@ -42,6 +42,23 @@ def test_inverse_pair_detects_a_wrong_inverse_entry(monkeypatch):
     assert not suite.inverse_pair_ok(F(1), F(-2), 4)
 
 
+def test_bell_basis_round_trip_detects_a_wrong_bell_basis_row(monkeypatch):
+    # the round trip alone reads suite.rising_rows: the forward identity and
+    # the display read neither it nor its entry (3, 1)
+    right = suite.rising_rows
+
+    def wrong(alpha, beta, nmax):
+        d, rows = right(alpha, beta, nmax)
+        if nmax >= 3:
+            rows[3][1] += 1
+        return d, rows
+
+    monkeypatch.setattr(suite, "rising_rows", wrong)
+    for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(2)), (F(-3, 2), F(1, 2))):
+        assert suite.bell_basis_ok(alpha, beta, 2)
+        assert not suite.bell_basis_ok(alpha, beta, 4)
+
+
 @pytest.mark.parametrize(
     "params, detail",
     [
