@@ -5,18 +5,19 @@ derivative-representation identities of the family need.  Identities are
 compared as maps from (rational) exponents to coefficients: finitely
 many real powers of x with equal coefficient maps define equal functions
 on x > 0, so the comparison is strictly stronger than any numeric check.
+The verifiers walk sums on one exponent lattice, each as an integer list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, perm
 from typing import Iterable
 
 from .family import bell_rows
 from .qpoly import triangle_product
-from .rationals import falling
-from .stirling import triangle_rows
+from .rationals import common_scale
+from .stirling import scaled_rows
 
 
 class ExpMonomialSum:
@@ -115,20 +116,18 @@ class ExpMonomialSum:
         return ExpMonomialSum(b, out)
 
 
-def _expansion_crosscheck(e: ExpMonomialSum, alpha: Fraction, n: int, kmax: int) -> bool:
-    """Cross-check e = (d/dx)**n (x**alpha * exp(x**beta)) against the
-    termwise derivative of the expanded exponential:
-
-    coefficient of x**(alpha + beta*k - n) must be falling(alpha + beta*k, n) / k!.
-    """
-    b = e.beta_exp
-    for k in range(kmax + 1):
-        acc = Fraction(0)
-        for j in range(min(k, n) + 1):
-            acc += e.coeff(alpha - n + j * b) / factorial(k - j)
-        if acc != falling(alpha + b * k, n) / factorial(k):
-            return False
-    return True
+def _lattice_walk(shifts: Iterable[int], b: int):
+    """Yield [1], then for each c0 in ``shifts`` the next integer list,
+    entry j = (c0 + b*j) * row[j] + b * row[j-1].  On the terms
+    c_j * x**(g + j*B) * exp(x**B), d/dx and x*d/dx + s both send term j to
+    terms j and j + 1 with weights (g + s + j*B) and B (s = 0 for d/dx), so
+    each step is one of them scaled by c0 : b = (g + s) : B."""
+    row = [1]
+    yield row
+    for c0 in shifts:
+        padded = [0, *row, 0]
+        row = [(c0 + b * j) * padded[j + 1] + b * padded[j] for j in range(len(row) + 1)]
+        yield row
 
 
 def verify_rodrigues_first(alpha, beta, nmax: int) -> tuple[bool, ...]:
@@ -138,25 +137,30 @@ def verify_rodrigues_first(alpha, beta, nmax: int) -> tuple[bool, ...]:
     family_n(x**beta) = (-1)**n * x**(n-alpha) * exp(-x**beta)
                         * (d/dx)**n (x**alpha * exp(x**beta)).
 
-    Both sides are reduced to exponent maps (the exp factors cancel) and
-    compared exactly; each n-fold derivative, one derivative on from the
-    last, is additionally cross-checked against the termwise expansion of
-    the exponential.  Entry n of the result is degree n's verdict: the
-    derivatives never read the triangle, so it depends on row n alone.
+    The n-fold derivative is sum_j c_j * x**(alpha - n + j*beta) * exp(x**beta).
+    With (d, a, b) from ``common_scale``, C_n = d**n * c_n is one
+    ``_lattice_walk`` step on from C_(n-1), and the identity is
+    (-1)**n * C_n == T(n, .) of ``scaled_rows``.  Each C_n is cross-checked
+    against the termwise derivative of the expanded exponential: for k <= n + 2,
+    sum_j C_n[j] * perm(k, j) == d**n * falling(alpha + beta*k, n).  Entry n is
+    degree n's verdict: the derivatives never read the triangle.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    e = ExpMonomialSum.monomial(beta, alpha)
+    d, a, b = common_scale(alpha, beta)
+    shifts = [a - i * d for i in range(nmax)]
+    _, rows = scaled_rows(alpha, beta, nmax)
+    falling = [1] * (nmax + 3)  # d**n * falling(alpha + beta*k, n), k <= nmax + 2
     verdicts = []
-    for n, row in enumerate(triangle_rows(alpha, beta, nmax)):
+    for n, (coeffs, row) in enumerate(zip(_lattice_walk(shifts, b), rows)):
         if n:
-            e = e.derivative()
-        lhs = e.xshift(n - alpha).scale(Fraction(-1) ** n)
-        rhs = ExpMonomialSum(beta, ((beta * k, c) for k, c in enumerate(row)))
-        verdicts.append(_expansion_crosscheck(e, alpha, n, n + 2) and lhs == rhs)
+            falling = [f * (shifts[n - 1] + b * k) for k, f in enumerate(falling)]
+        expanded = all(sum(c * perm(k, j) for j, c in enumerate(coeffs[: k + 1])) == falling[k]
+                       for k in range(n + 3))
+        verdicts.append(expanded and [(-1) ** n * c for c in coeffs] == list(row))
     return tuple(verdicts)
 
 
@@ -169,22 +173,20 @@ def verify_rodrigues_second(alpha, beta, nmax: int) -> tuple[bool, ...]:
     Since g_{n+1} = x * g_n, Leibniz gives (d/dx)**(n+1) (x * g)
     = x * (d/dx)**(n+1) g + (n+1) * (d/dx)**n g, so
     E_{n+1} = (x*d/dx + n + 1) E_n: degree n is one Euler step on from
-    degree n-1.  Entry n of the result is degree n's verdict; E_n never
-    reads the triangle, so it depends on row n alone.
+    degree n-1.  E_n is sum_j e_j * x**(-1 - alpha - j*beta) * exp(x**(-beta)):
+    D_n = d**n * e_n walks on integers, and the identity is D_n == T(n, .).
+    Entry n of the result is degree n's verdict; E_n never reads the
+    triangle, so it depends on row n alone.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    e = ExpMonomialSum.monomial(-beta, -1 - alpha)
-    verdicts = []
-    for n, row in enumerate(triangle_rows(alpha, beta, nmax)):
-        if n:
-            e = e.euler_shift(n)
-        rhs = ExpMonomialSum(-beta, ((-beta * k, c) for k, c in enumerate(row)))
-        verdicts.append(e.xshift(alpha + 1) == rhs)
-    return tuple(verdicts)
+    d, a, b = common_scale(alpha, beta)
+    _, rows = scaled_rows(alpha, beta, nmax)
+    walk = _lattice_walk((i * d - a for i in range(nmax)), -b)
+    return tuple(coeffs == list(row) for coeffs, row in zip(walk, rows))
 
 
 def verify_bell_operator(alpha, beta, lam, nmax: int) -> bool:
@@ -207,7 +209,8 @@ def verify_bell_operator(alpha, beta, lam, nmax: int) -> bool:
     polynomial at a shifted argument); its own derivation carries
     beta**(-n) * (x*d/dx - alpha)**n and the lam**(n-j) weights verified
     here, and only this form holds for beta != 1 or lam != 0.  With lam = p/q,
-    q**n times the Bell sum is an integer triangle product.
+    q**n times the Bell sum is an integer triangle product, and q**n times
+    the right side, sum_j b_j * x**(alpha + j*beta) * exp(x**beta), a walk.
     """
     alpha, beta, lam = Fraction(alpha), Fraction(beta), Fraction(lam)
     if beta == 0:
@@ -218,12 +221,4 @@ def verify_bell_operator(alpha, beta, lam, nmax: int) -> bool:
     p, q = lam.numerator, lam.denominator
     weights = [[comb(n, j) * p ** (n - j) * q**j for j in range(n + 1)] for n in range(nmax + 1)]
     shifted_bells = triangle_product(weights, bell_rows(nmax))
-    e = ExpMonomialSum.monomial(beta, alpha)
-    inv_beta = 1 / beta
-    for n in range(nmax + 1):
-        if n:
-            e = e.euler_shift(lam * beta - alpha).scale(inv_beta)
-        lhs = ExpMonomialSum(beta, ((beta * i, Fraction(c, q**n)) for i, c in enumerate(shifted_bells[n])))
-        if lhs != e.xshift(-alpha):
-            return False
-    return True
+    return all(coeffs == bells for coeffs, bells in zip(_lattice_walk([p] * nmax, q), shifted_bells))

@@ -16,7 +16,7 @@ from math import factorial
 
 from . import family, operators, series, stirling, zeros
 from .qpoly import QPolynomial, rising_rows, triangle_product
-from .rationals import falling, rising
+from .rationals import common_scale, falling, rising, scaled_row
 
 GRID_ALPHAS = tuple(
     Fraction(s) for s in ("-2", "-3/2", "-1", "-1/2", "0", "1/3", "1/2", "1", "2")
@@ -151,7 +151,9 @@ def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     """Forward identity, round trip, and the printed general display, whose
     weight (-1)**k * alpha**(k-j) * beta**j is (-alpha)**(k-j) * (-beta)**j.
-    The round trip: the Bell-basis rows of ``rising_rows`` times the Bell rows are T."""
+    The round trip: the Bell-basis rows of ``rising_rows`` times the Bell rows are T.
+    The display of ``_bell_display_ok`` times d**n is the integer product of
+    the |s(n, k)| rows with W(k, j) = C(k, j) * (-a)**(k-j) * (-b)**j."""
     params = family.FamilyParams(alpha, beta)
     if not family.verify_bell_basis_forward(params, nmax):
         return False
@@ -159,9 +161,12 @@ def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     _, bell_coeffs = rising_rows(alpha, beta, nmax)
     if triangle_product(bell_coeffs, family.bell_rows(nmax)) != [list(row) for row in rows]:
         return False
-    powers_a = [(-alpha) ** i for i in range(nmax + 1)]
-    powers_b = [(-beta) ** i for i in range(nmax + 1)]
-    return _bell_display_ok(params, nmax, lambda k, j: powers_a[k - j] * powers_b[j])
+    d, a, b = common_scale(alpha, beta)
+    unsigned = [[abs(stirling.stirling1(n, k)) for k in range(n + 1)] for n in range(nmax + 1)]
+    weights = [[math.comb(k, j) * (-a) ** (k - j) * (-b) ** j for j in range(k + 1)]
+               for k in range(nmax + 1)]
+    display = triangle_product(unsigned, weights, d)
+    return all(display[n] == scaled_row(family.to_bell_basis(params, n), d**n) for n in range(nmax + 1))
 
 
 def _bell_display_ok(params, nmax: int, weight) -> bool:

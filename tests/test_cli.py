@@ -400,16 +400,17 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
 
 
 def test_verify_rodrigues_pair_fails_only_the_wrong_degree(capsys, monkeypatch):
-    right = operators.triangle_rows
+    right = operators.scaled_rows
 
     def wrong(alpha, beta, nmax):
-        rows = right(alpha, beta, nmax)
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1)
+        d, rows = right(alpha, beta, nmax)
         if nmax < 3:
-            return rows
-        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
-        return rows[:3] + (bumped,) + rows[4:]
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
 
-    monkeypatch.setattr(operators, "triangle_rows", wrong)
+    monkeypatch.setattr(operators, "scaled_rows", wrong)
     code, out, _ = run_cli(
         capsys, "verify", "--identity", "rodrigues", "--alpha", "-1/2", "--beta", "-1/2",
         "--nmax", "5",

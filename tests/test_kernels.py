@@ -17,11 +17,15 @@ gf-derivative check, the linear-factor products of
 oracle, together with ``binomial_series`` and ``series_mul``, the
 ``Fraction`` series helpers those loops used (test_series.py tests them).
 The second Rodrigues route walks one Euler step per degree; the n-fold
-derivative it replaced is kept below as its oracle.  The ``Fraction``
-step, which scales each row back to integers with ``scaled_row``, is the
-oracle for the integer rows, and the ``Fraction`` form of the Newton
-inequality is the oracle for ``zeros.check_newton_logconcave``, which reads
-the integer rows.
+derivative it replaced is kept below as its oracle.  Both Rodrigues routes
+and the Bell operator walk integer coefficient lists on their exponent
+lattice, and the general Bell display is one integer triangle product; the
+``ExpMonomialSum`` walks and the ``Fraction`` display sum they replaced are
+kept below as oracles, compared per degree on correct and on bumped cached
+triangles.  The ``Fraction`` step, which scales each row back to integers
+with ``scaled_row``, is the oracle for the integer rows, and the
+``Fraction`` form of the Newton inequality is the oracle for
+``zeros.check_newton_logconcave``, which reads the integer rows.
 The connection identities (the Bell-basis forward identity and round trip,
 the inverse pair, the Bell-operator left side, rebase, Lah rebase,
 composition and the right side of the rising expansion) are integer
@@ -46,7 +50,7 @@ from gstirling import family, operators, series, stirling, suite, zeros
 from gstirling.family import FamilyParams, addition, eval_dobinski, poly, to_bell_basis
 from gstirling.operators import ExpMonomialSum
 from gstirling.qpoly import QPolynomial, linear_products, rising_polys, rising_rows, triangle_product
-from gstirling.rationals import common_scale, rising, scaled_row
+from gstirling.rationals import common_scale, falling, rising, scaled_row
 from gstirling.stirling import gstirling_explicit, scaled_rows, triangle_rows
 
 F = Fraction
@@ -618,6 +622,52 @@ def test_replaced_kernels_on_hypothesis_draws(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Fraction oracles of the operator walks: each verifier as it walked
+# ``ExpMonomialSum``s before the integer exponent lattice
+
+
+def _expansion_crosscheck_fractions(e, alpha, n, kmax):
+    """The coefficient of x**(alpha + beta*k - n) in e, k <= kmax, against
+    falling(alpha + beta*k, n) / k!, the termwise derivative of the
+    expanded exponential."""
+    b = e.beta_exp
+    for k in range(kmax + 1):
+        acc = Fraction(0)
+        for j in range(min(k, n) + 1):
+            acc += e.coeff(alpha - n + j * b) / factorial(k - j)
+        if acc != falling(alpha + b * k, n) / factorial(k):
+            return False
+    return True
+
+
+def _rodrigues_first_fractions(alpha, beta, nmax):
+    """Per-degree verdicts of the first Rodrigues route, one ``derivative``
+    per degree."""
+    e = ExpMonomialSum.monomial(beta, alpha)
+    verdicts = []
+    for n, row in enumerate(triangle_rows(alpha, beta, nmax)):
+        if n:
+            e = e.derivative()
+        lhs = e.xshift(n - alpha).scale(Fraction(-1) ** n)
+        rhs = ExpMonomialSum(beta, ((beta * k, c) for k, c in enumerate(row)))
+        verdicts.append(_expansion_crosscheck_fractions(e, alpha, n, n + 2) and lhs == rhs)
+    return tuple(verdicts)
+
+
+def _rodrigues_second_walk_fractions(alpha, beta, nmax):
+    """Per-degree verdicts of the second Rodrigues route, one ``euler_shift``
+    per degree."""
+    e = ExpMonomialSum.monomial(-beta, -1 - alpha)
+    verdicts = []
+    for n, row in enumerate(triangle_rows(alpha, beta, nmax)):
+        if n:
+            e = e.euler_shift(n)
+        rhs = ExpMonomialSum(-beta, ((-beta * k, c) for k, c in enumerate(row)))
+        verdicts.append(e.xshift(alpha + 1) == rhs)
+    return tuple(verdicts)
+
+
+# ---------------------------------------------------------------------------
 # Fraction oracles of the connection identities: each check as it summed
 # ``QPolynomial``s through ``combine`` before ``qpoly.triangle_product``
 
@@ -653,8 +703,8 @@ def _bell_forward_fractions(params, nmax):
 
 
 def _bell_basis_fractions_ok(alpha, beta, nmax):
-    """``suite.bell_basis_ok`` with the forward identity and the round trip
-    summed over ``Fraction``; the display check is shared."""
+    """``suite.bell_basis_ok`` with the forward identity, the round trip and
+    the general display summed over ``Fraction``."""
     params = FamilyParams(alpha, beta)
     if not _bell_forward_fractions(params, nmax):
         return False
@@ -662,9 +712,7 @@ def _bell_basis_fractions_ok(alpha, beta, nmax):
     for n in range(nmax + 1):
         if _combine_fractions(to_bell_basis(params, n), bells) != poly(params, n):
             return False
-    powers_a = [(-alpha) ** i for i in range(nmax + 1)]
-    powers_b = [(-beta) ** i for i in range(nmax + 1)]
-    return suite._bell_display_ok(params, nmax, lambda k, j: powers_a[k - j] * powers_b[j])
+    return all(to_bell_basis(params, n) == _bell_basis_fractions(alpha, beta, n) for n in range(nmax + 1))
 
 
 def _inverse_pair_fractions(alpha, beta, nmax):
@@ -833,13 +881,14 @@ def _triangle_keys(alpha, beta, alpha2, beta2):
 def _bump_cached_entry(patch, key, nmax, n, k):
     """Replace the cached rows of ``key`` by the same rows with the integer
     entry (n, k) one more, n <= nmax; every later reader sees the bump."""
-    if key == ("stirling", 2):
-        rows = stirling._stirling_rows(2, nmax)
+    classical = key[0] == "stirling"
+    if classical:
+        rows = stirling._stirling_rows(key[1], nmax)
     else:
         scaled_rows(*key, nmax)
         rows = stirling._TRIANGLES[key].rows
     bumped = rows[:n] + (rows[n][:k] + (rows[n][k] + 1,) + rows[n][k + 1 :],) + rows[n + 1 :]
-    if key != ("stirling", 2):
+    if not classical:
         bumped = dataclasses.replace(stirling._TRIANGLES[key], rows=bumped)
     patch.setitem(stirling._TRIANGLES, key, bumped)
 
@@ -903,4 +952,72 @@ def test_connection_checks_on_hypothesis_draws(monkeypatch):
         n = rng.randint(1, nmax)
         _check_connections(monkeypatch, alpha, beta, alpha2, beta2, nmax, (role, n, rng.randint(0, n)))
 
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(alphas, betas, rationals(-3, 3, 12), st.integers(0, 6), rngs)
+    def operator_walks(alpha, beta, lam, nmax, rng):
+        checks = _operator_checks(alpha, beta, nmax, (lam,))
+        _check_operator_walks(monkeypatch, checks, nmax)
+        n = rng.randint(0, nmax)
+        _check_operator_walks(monkeypatch, checks, nmax, ((alpha, beta), n, rng.randint(0, n)))
+
     connections()
+    operator_walks()
+
+
+# ---------------------------------------------------------------------------
+# the operator walks and the general Bell display against their Fraction routes
+
+
+def _operator_checks(alpha, beta, nmax, lams):
+    """(name, integer route, Fraction route, arguments) for both Rodrigues
+    routes, the Bell basis with its general display and the Bell operator
+    at each of ``lams``."""
+    return [
+        ("rodrigues-first", operators.verify_rodrigues_first, _rodrigues_first_fractions, (alpha, beta, nmax)),
+        ("rodrigues-second", operators.verify_rodrigues_second, _rodrigues_second_walk_fractions,
+         (alpha, beta, nmax)),
+        ("bell-basis", suite.bell_basis_ok, _bell_basis_fractions_ok, (alpha, beta, nmax)),
+    ] + [
+        (f"bell-operator lambda={lam}", operators.verify_bell_operator, _bell_operator_fractions,
+         (alpha, beta, lam, nmax))
+        for lam in lams
+    ]
+
+
+def _check_operator_walks(monkeypatch, checks, nmax, bump=None):
+    """Both routes of each of ``checks``, after bumping the cached entry
+    ``bump`` = (key, n, k), n <= nmax, if given; they must agree, and the
+    verdicts are returned by name."""
+    held = {}
+    with monkeypatch.context() as patch:
+        if bump is not None:
+            _bump_cached_entry(patch, bump[0], nmax, *bump[1:])
+        for name, new, old, args in checks:
+            held[name] = new(*args)
+            assert held[name] == old(*args), (name, bump)
+    return held
+
+
+OPERATOR_NMAX = 6
+
+
+@pytest.mark.parametrize("alpha, beta", suite.GRID + tuple(ORACLE_PAIRS))
+def test_operator_walks_match_the_fraction_routes(monkeypatch, alpha, beta):
+    nmax = OPERATOR_NMAX
+    checks = _operator_checks(alpha, beta, nmax, (F(0), F(1), alpha / beta, F(-3, 7)))
+    held = _check_operator_walks(monkeypatch, checks, nmax)
+    assert all(all(ok) if name.startswith("rodrigues") else ok for name, ok in held.items())
+    # a wrong T(n, k) fails degree n of both routes alone and the Bell-basis
+    # round trip; the Bell operator never reads T
+    rng = random.Random(str((alpha, beta)))
+    for n in range(nmax + 1):
+        bump = ((alpha, beta), n, rng.randint(0, n))
+        held = _check_operator_walks(monkeypatch, checks, nmax, bump)
+        expected = tuple(m != n for m in range(nmax + 1))
+        assert held.pop("rodrigues-first") == held.pop("rodrigues-second") == expected
+        assert held.pop("bell-basis") is False
+        assert all(held.values())
+    held = _check_operator_walks(monkeypatch, checks[2:], nmax, (("stirling", 2), 3, 2))
+    assert not any(held.values())
+    held = _check_operator_walks(monkeypatch, checks[2:3], nmax, (("stirling", 1), 4, 2))
+    assert held == {"bell-basis": False}

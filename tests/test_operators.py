@@ -123,16 +123,17 @@ def test_rodrigues_second_examples(alpha, beta, n):
 
 
 def test_rodrigues_detects_a_wrong_triangle_entry(monkeypatch):
-    right = operators.triangle_rows
+    right = operators.scaled_rows
 
     def wrong(alpha, beta, nmax):
-        rows = right(alpha, beta, nmax)
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1)
+        d, rows = right(alpha, beta, nmax)
         if nmax < 3:
-            return rows
-        bumped = rows[3][:1] + (rows[3][1] + 1,) + rows[3][2:]
-        return rows[:3] + (bumped,) + rows[4:]
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
 
-    monkeypatch.setattr(operators, "triangle_rows", wrong)
+    monkeypatch.setattr(operators, "scaled_rows", wrong)
     alpha, beta = F(-1, 2), F(-1, 2)
     # each route fails degree 3 alone: no degree's walk reads the triangle
     for nmax in range(7):
