@@ -117,6 +117,25 @@ def test_addition_detects_a_wrong_triangle_entry(monkeypatch):
         assert not suite.addition_ok(alpha, beta, 3)
 
 
+def test_recurrence_chain_detects_a_wrong_triangle_entry(monkeypatch):
+    # the chain steps from the constant 1 and never reads the triangle, so
+    # entry (3, 1) bumped leaves degrees up to 2 equal and degree 3 not
+    right = stirling.scaled_rows
+
+    def wrong(alpha, beta, nmax):
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1)
+        d, rows = right(alpha, beta, nmax)
+        if nmax < 3:
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(stirling, "scaled_rows", wrong)
+    for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(2)), (F(-3, 2), F(1, 2))):
+        assert suite.recurrence_chain_ok(alpha, beta, 2)
+        assert not suite.recurrence_chain_ok(alpha, beta, 3)
+
+
 def test_log_concave_detects_one_shrunk_integer_entry(monkeypatch):
     # T(6, 3) halved stays positive, so the Newton inequality at (6, 3) is
     # what must notice it, in every binding the check reads the rows through
