@@ -192,18 +192,17 @@ def poly_divexact(p: QPolynomial, q: QPolynomial) -> QPolynomial:
     return quo
 
 
-def _primitive(p: QPolynomial) -> tuple[int, ...]:
-    """p scaled by a positive rational to coprime integer coefficients."""
-    den = 1
-    for c in p.coefficients:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return _content_free([c.numerator * (den // c.denominator) for c in p.coefficients])
+def _primitive(p) -> tuple[int, ...]:
+    """p scaled by a positive rational to coprime integer coefficients; p is a
+    ``QPolynomial`` or integer coefficients, whose content alone is divided out."""
+    if isinstance(p, QPolynomial):
+        den = math.lcm(*(c.denominator for c in p.coefficients))
+        p = [c.numerator * (den // c.denominator) for c in p.coefficients]
+    return _content_free(p)
 
 
 def _content_free(ints: list[int]) -> tuple[int, ...]:
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 
 
@@ -229,8 +228,9 @@ def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
     return _content_free([-v for v in rem])
 
 
-def remainder_sequence(p: QPolynomial, q: QPolynomial) -> tuple[tuple[int, ...], ...]:
-    """The signed remainder sequence of p and q over the integers.
+def remainder_sequence(p, q) -> tuple[tuple[int, ...], ...]:
+    """The signed remainder sequence of p and q over the integers; each is a
+    ``QPolynomial`` or integer coefficients with a nonzero leading one.
 
     The members are p, q, then the negated remainder of the two before,
     down to the last nonzero one, which is gcd(p, q) up to a constant

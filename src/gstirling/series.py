@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 from operator import mul
 
 from .rationals import common_scale
@@ -51,9 +51,15 @@ def columns(head: list, base: list) -> list[list[int]]:
     return cols
 
 
-def column_rows(head: list, base: list, scale: int, shift: int = 0) -> tuple[tuple, ...]:
+def family_columns(alpha, beta, order: int) -> tuple[int, list[list[int]]]:
+    """(d, the family's ``columns`` through t**order at scale d): head (1-t)**alpha
+    and base (1-t)**beta - 1, so entry n of column k is T(n, k) = d**n * S(n, k)."""
+    d, a, b = common_scale(Fraction(alpha), Fraction(beta))
+    return d, columns(u_binomial(a, d, order), [0] + u_binomial(b, d, order)[1:])
+
+
+def column_rows(scale: int, cols: list, shift: int = 0) -> tuple[tuple, ...]:
     """Rows of ``columns``: entry (n, k) is column k's entry n over scale**(n + shift)."""
-    cols = columns(head, base)
     return tuple(
         tuple(Fraction(col[n], scale ** (n + shift)) for col in cols[: n + 1])
         for n in range(len(cols))
@@ -86,22 +92,23 @@ def verify_gf_derivatives(alpha, beta, ms, order: int) -> tuple[bool, ...]:
     for m in ms:
         if not 0 <= m <= order:
             raise ValueError(f"need 0 <= m <= order, got m={m}, order={order}")
-    d, a, b = common_scale(alpha, beta)
-    cols = columns(u_binomial(a, d, order), [0] + u_binomial(b, d, order)[1:])
-    return tuple(_derivative_holds(cols, d, b, alpha, beta, m) for m in ms)
+    from .stirling import explicit_rows  # deferred: stirling uses this module
+
+    d, cols = family_columns(alpha, beta, order)
+    _, sums = explicit_rows(alpha, beta, max(ms, default=0))
+    _, _, b = common_scale(alpha, beta)
+    return tuple(_derivative_holds(cols, d, b, sums[m], m) for m in ms)
 
 
-def _derivative_holds(cols: list, d: int, b: int, alpha, beta, m: int) -> bool:
+def _derivative_holds(cols: list, d: int, b: int, sums: list, m: int) -> bool:
     """d**m times both sides in u-form: C_j[m:] against the sum over k of
-    d**m * S(m, k) * (1-t)**(-m) * (1-t)**(beta*k) * C_{j-k}."""
-    from .stirling import gstirling_explicit  # deferred: stirling uses this module
-
+    d**m * S(m, k) * (1-t)**(-m) * (1-t)**(beta*k) * C_{j-k}, each weight
+    d**m * S(m, k) read as the explicit sum ``sums[k]`` = k! * d**m * S(m, k) over k!."""
     length = len(cols) - m
     lower = u_binomial(-m * d, d, length - 1)
     weights = []
     for k in range(m + 1):
-        s = gstirling_explicit(alpha, beta, m, k)
-        w, rem = divmod(s.numerator * d**m, s.denominator)
+        w, rem = divmod(sums[k], factorial(k))
         if rem:  # not the triangle's weight, whose d**m * S(m, k) is an integer
             return False
         weights.append([w * c for c in u_mul(lower, u_binomial(b * k, d, length - 1))])

@@ -1,20 +1,15 @@
 """Coefficient triangles.
 
-The central object is the two-parameter Stirling-type triangle S(n, k)
-attached to a parameter pair (alpha, beta): the coefficients of the
-polynomial family in the monomial basis.  Around it sit its inverse
-triangle, the classical Stirling numbers of both kinds, Lah and r-Lah
-numbers, and partial (r-)Bell polynomials, each of which specializes or
-transports the central triangle.  The whole-triangle accessors
-``triangle_rows``, ``gstirling_egf`` and ``partial_r_bell_rows`` return
-tuples of rows, and ``gstirling_table`` yields its rows one at a time;
-``partial_r_bell_rows`` reads whole partial r-Bell triangles off the
-integer column extraction of the family triangle, ``series.column_rows``,
-and callers index into them.  The Lah and r-Lah numbers have a closed form.
-``_TRIANGLES`` is the package's only cache; it keeps the family triangle
-of each pair in one form, integer rows scaled by a power of the common
-denominator (``scaled_rows``), grown only when a caller reads them.  A
-``Fraction`` row is built from them only where a caller reads one.
+The central object is the two-parameter Stirling-type triangle S(n, k) of a
+pair (alpha, beta): the coefficients of the polynomial family in the monomial
+basis.  Around it sit its inverse, the classical Stirling numbers of both
+kinds, the Lah and r-Lah numbers (a closed form) and partial (r-)Bell values.
+``_TRIANGLES``, the package's only cache, keeps each pair's triangle as the
+integer rows T(n, k) = d**n * S(n, k) of ``scaled_rows``, grown when read; a
+``Fraction`` row is reduced from them only where a caller reads one.  The
+other routes run on integers too: the alternating sum as k! * T(n, k)
+(``explicit_rows``), and the column extraction ``series.columns`` behind
+``gstirling_egf``, ``partial_r_bell_rows`` and ``verify_rbell_connection``.
 """
 
 from __future__ import annotations
@@ -25,8 +20,8 @@ from math import comb, factorial, lcm, perm, prod
 from typing import Sequence
 
 from .qpoly import rising_rows, triangle_product
-from .rationals import common_scale, rising, scaled_row
-from .series import column_rows, u_binomial, u_mul
+from .rationals import common_scale, scaled_row
+from .series import column_rows, columns, family_columns, u_binomial, u_mul
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -117,19 +112,29 @@ def gstirling_table(alpha, beta, nmax: int):
     return _reduced(*scaled_rows(Fraction(alpha), Fraction(beta), nmax))
 
 
-def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
-    """Alternating-sum closed form, an independent route to one entry.
+def _alternating_sum(products: list[int], k: int) -> int:
+    """sum_{j<=k} (-1)**(k-j) * C(k, j) * products[j]: k! * d**n * S(n, k) for
+    products[j] = d**n * rising(-alpha - beta*j, n) = prod_{i<n} (i*d - a - b*j)."""
+    return sum((-1) ** (k - j) * comb(k, j) * products[j] for j in range(k + 1))
 
+
+def explicit_rows(alpha, beta, nmax: int) -> tuple[int, list[list[int]]]:
+    """(d, rows 0..nmax of k! * T(n, k)): the explicit route on integers, each
+    entry an ``_alternating_sum``; ``u_binomial(a + b*j, d, nmax)`` grows the
+    product for j by one factor per n, and ``products`` yields row n's."""
+    d, a, b = common_scale(Fraction(alpha), Fraction(beta))
+    products = zip(*(u_binomial(a + b * j, d, nmax) for j in range(nmax + 1)))
+    return d, [[_alternating_sum(p, k) for k in range(n + 1)] for n, p in enumerate(products)]
+
+
+def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
+    """Alternating-sum closed form, an independent route to one entry:
     S(n, k) = (1/k!) * sum_{j=0..k} (-1)**(k-j) * C(k, j) * rising(-alpha - beta*j, n),
-    summed on integers: d**n * rising(...) = prod_{i<n} (i*d - a - b*j) (``common_scale``).
-    """
+    the integer ``_alternating_sum`` over k! * d**n (``common_scale``)."""
     _check_indices(n, k)
     d, a, b = common_scale(Fraction(alpha), Fraction(beta))
-    total = sum(
-        (-1) ** (k - j) * comb(k, j) * prod(range(-a - b * j, n * d - a - b * j, d))
-        for j in range(k + 1)
-    )
-    return Fraction(total, factorial(k) * d**n)
+    products = [prod(range(-a - b * j, n * d - a - b * j, d)) for j in range(k + 1)]
+    return Fraction(_alternating_sum(products, k), factorial(k) * d**n)
 
 
 def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -137,13 +142,11 @@ def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
 
     Column k of the triangle has exponential generating function
     C_k = (1/k!) * ((1-t)**beta - 1)**k * (1-t)**alpha, so S(n, k) = n! * C_k[n],
-    read off ``series.column_rows`` at scale d (any beta; at 0 only C_0 is nonzero).
+    read off ``series.family_columns`` at scale d (any beta; at 0 only C_0 is nonzero).
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    d, a, b = common_scale(alpha, beta)
-    return column_rows(u_binomial(a, d, nmax), [0] + u_binomial(b, d, nmax)[1:], d)
+    return column_rows(*family_columns(alpha, beta, nmax))
 
 
 def scaled_inverse_rows(alpha, beta, nmax: int) -> tuple[int, list[list[int]]]:
@@ -217,16 +220,27 @@ def lah(n: int, k: int) -> Fraction:
     return rlah(0, n, k)
 
 
+def _r_bell_columns(r: int, nmax: int, factor: list, base: list) -> list[list[int]]:
+    """``series.columns`` of factor**r * base**k / k!, u-forms through t**nmax
+    at one scale."""
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    head = [1] + [0] * nmax
+    for bit in bin(r)[2:]:  # factor**r by squaring, so the cost grows with log(r)
+        head = u_mul(head, head)
+        if bit == "1":
+            head = u_mul(head, factor)
+    return columns(head, base)
+
+
 def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tuple[tuple, ...]:
     """Partial r-Bell values: entry [n][k], k <= n <= nmax, is the value with
     full indices (n+r, k+r), n! times the t**n coefficient of
     (1/k!) * (sum_{j>=1} a_j t**j / j!)**k * (sum_{j>=0} b_{j+1} t**j / j!)**r,
     read by ``series.column_rows`` at L, the lcm of the sequences' denominators.
     ``a`` lists a_1..a_nmax and ``b`` lists b_1..b_{nmax+1}."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
     if len(a) < nmax:
         raise ValueError(f"sequence a needs {nmax} terms, got {len(a)}")
     if r >= 1 and len(b) < nmax + 1:
@@ -236,25 +250,24 @@ def partial_r_bell_rows(r: int, nmax: int, a: Sequence, b: Sequence = ()) -> tup
     scale = lcm(*(v.denominator for v in a + b))
     # L**(j+1) * a_{j+1} and L**(j+1) * b_{j+1}: the base's u-form, L times the factor's
     base = [0] + [v * scale**j for j, v in enumerate(scaled_row(a, scale))]
-    head = [1] + [0] * nmax
-    if r >= 1:
-        head = factor = [v * scale**j for j, v in enumerate(scaled_row(b, scale))]
-        for bit in bin(r)[3:]:  # B**r by squaring, so the cost grows with log(r)
-            head = u_mul(head, head)
-            if bit == "1":
-                head = u_mul(head, factor)
-    return column_rows(head, base, scale, r)
+    factor = [v * scale**j for j, v in enumerate(scaled_row(b, scale))]
+    return column_rows(scale, _r_bell_columns(r, nmax, factor, base), r)
 
 
 def verify_rbell_connection(alpha, beta, r: int, nmax: int) -> bool:
     """Check that the triangle at (r*alpha, beta) equals the partial r-Bell
-    triangle at rising factorials up to nmax (``partial_r_bell_rows`` checks r, nmax)."""
+    triangle at a_j = rising(-beta, j), b_{j+1} = rising(-alpha, j) up to nmax.
+    Their u-forms at scale d are d**j * rising(-beta, j) = prod_{i<j} (i*d - b)
+    and d**j * rising(-alpha, j), so column k's entry n is d**n times the value,
+    and T(n, k) of ``scaled_rows``, at d' dividing d, is lifted by (d/d')**n."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")
-    a = [rising(-beta, j) for j in range(1, nmax + 1)]
-    b = [rising(-alpha, j) for j in range(nmax + 1)]  # b_{j+1} = rising(-alpha, j)
-    return partial_r_bell_rows(r, nmax, a, b) == triangle_rows(r * alpha, beta, nmax)
+    d, a, b = common_scale(alpha, beta)
+    cols = _r_bell_columns(r, nmax, u_binomial(a, d, nmax), [0] + u_binomial(b, d, nmax)[1:])
+    d_rows, rows = scaled_rows(r * alpha, beta, nmax)
+    lift = d // d_rows
+    return all(cols[k][n] == v * lift**n for n, row in enumerate(rows) for k, v in enumerate(row))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from math import factorial
 
 from . import family, operators, series, stirling, zeros
 from .qpoly import QPolynomial, rising_rows, triangle_product
-from .rationals import common_scale, falling, rising, scaled_row
+from .rationals import common_scale, falling, rising
 
 GRID_ALPHAS = tuple(
     Fraction(s) for s in ("-2", "-3/2", "-1", "-1/2", "0", "1/3", "1/2", "1", "2")
@@ -88,17 +88,14 @@ def _bell_lambdas(alpha: Fraction, beta: Fraction) -> tuple[Fraction, ...]:
 
 
 def triple_route_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
-    """Recurrence, explicit sum, and series extraction must agree entrywise."""
-    rows = stirling.triangle_rows(alpha, beta, nmax)
-    egf = stirling.gstirling_egf(alpha, beta, nmax)
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            value = rows[n][k]
-            if value != egf[n][k]:
-                return False
-            if value != stirling.gstirling_explicit(alpha, beta, n, k):
-                return False
-    return True
+    """Recurrence, explicit sum, and series extraction must agree entrywise,
+    on integers: T(n, k) of ``scaled_rows`` is entry n of column k of
+    ``series.family_columns``, and k! * T(n, k) is the explicit sum."""
+    _, rows = stirling.scaled_rows(alpha, beta, nmax)
+    _, cols = series.family_columns(alpha, beta, nmax)
+    _, sums = stirling.explicit_rows(alpha, beta, nmax)
+    return all(v == cols[k][n] and factorial(k) * v == sums[n][k]
+               for n, row in enumerate(rows) for k, v in enumerate(row))
 
 
 def first_values_ok(alpha: Fraction, beta: Fraction) -> bool:
@@ -128,11 +125,16 @@ def first_values_ok(alpha: Fraction, beta: Fraction) -> bool:
 
 
 def recurrence_chain_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
-    params = family.FamilyParams(alpha, beta)
-    current = QPolynomial.one()
+    """next = (n - alpha - beta*x) * p_n - beta*x * p_n' from p_0 = 1 gives each
+    member: on integers, (n*d - a - b*x) * cur - b*x * cur' against T(n+1, .)."""
+    d, a, b = common_scale(alpha, beta)
+    _, rows = stirling.scaled_rows(alpha, beta, nmax)
+    current = [1]
     for n in range(nmax):
-        current = family.derivative_recurrence_step(params, current, n)
-        if current != family.poly(params, n + 1):
+        cur = [0, *current, 0]  # cur[j + 1] is the coefficient of x**j
+        # coefficient j of (n*d - a) * cur, of -b*x * cur and of -b*x * cur'
+        current = [(n * d - a) * cur[j + 1] - b * cur[j] - b * j * cur[j + 1] for j in range(n + 2)]
+        if current != list(rows[n + 1]):
             return False
     return True
 
@@ -151,9 +153,9 @@ def inverse_pair_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     """Forward identity, round trip, and the printed general display, whose
     weight (-1)**k * alpha**(k-j) * beta**j is (-alpha)**(k-j) * (-beta)**j.
-    The round trip: the Bell-basis rows of ``rising_rows`` times the Bell rows are T.
-    The display of ``_bell_display_ok`` times d**n is the integer product of
-    the |s(n, k)| rows with W(k, j) = C(k, j) * (-a)**(k-j) * (-b)**j."""
+    The round trip: the Bell-basis rows of ``rising_rows`` times the Bell rows
+    are T.  Times d**n, the display has the weight (-a)**(k-j) * (-b)**j on
+    integers, and its rows are those of the same walk."""
     params = family.FamilyParams(alpha, beta)
     if not family.verify_bell_basis_forward(params, nmax):
         return False
@@ -162,28 +164,27 @@ def bell_basis_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     if triangle_product(bell_coeffs, family.bell_rows(nmax)) != [list(row) for row in rows]:
         return False
     d, a, b = common_scale(alpha, beta)
+    return _bell_display(nmax, lambda k, j: (-a) ** (k - j) * (-b) ** j, d) == bell_coeffs
+
+
+def _bell_display(nmax: int, weight, scale: int = 1) -> list[list]:
+    """Rows 0..nmax of the printed display, entry j of row n
+    sum_{k=j..n} C(k, j) * |s(n, k)| * weight(k, j), as one ``triangle_product``;
+    where ``weight`` gives scale**k times the weight, row n gives scale**n times
+    the display.  (Inverting the forward basis identity forces the C(k, j)
+    factor; the printed displays omit it, which goes unnoticed where it is 1:
+    alpha = 0, j = n, or n <= 1.)"""
     unsigned = [[abs(stirling.stirling1(n, k)) for k in range(n + 1)] for n in range(nmax + 1)]
-    weights = [[math.comb(k, j) * (-a) ** (k - j) * (-b) ** j for j in range(k + 1)]
-               for k in range(nmax + 1)]
-    display = triangle_product(unsigned, weights, d)
-    return all(display[n] == scaled_row(family.to_bell_basis(params, n), d**n) for n in range(nmax + 1))
+    weights = [[math.comb(k, j) * weight(k, j) for j in range(k + 1)] for k in range(nmax + 1)]
+    return triangle_product(unsigned, weights, scale)
 
 
 def _bell_display_ok(params, nmax: int, weight) -> bool:
-    """Bell-basis coefficient j of each member up to nmax, which
-    ``family.to_bell_basis`` reads off no Stirling number, must equal the
-    printed display sum_{k=j..n} C(k, j) * |s(n, k)| * weight(k, j).
-    (Inverting the forward basis identity forces the C(k, j) factor; the
-    printed displays omit it, which goes unnoticed where it is 1: alpha = 0,
-    j = n, or n <= 1.)"""
-    for n in range(nmax + 1):
-        coeffs = family.to_bell_basis(params, n)
-        unsigned = [abs(stirling.stirling1(n, k)) for k in range(n + 1)]
-        for j in range(n + 1):
-            display = sum(math.comb(k, j) * unsigned[k] * weight(k, j) for k in range(j, n + 1))
-            if coeffs[j] != display:
-                return False
-    return True
+    """Bell-basis coefficient j of each member up to nmax, row n of one walk
+    ``rising_rows`` over d**n, which reads off no Stirling number, must
+    equal the printed display with ``weight``."""
+    d, walk = rising_rows(params.alpha, params.beta, nmax)
+    return all([v * d**n for v in row] == walk[n] for n, row in enumerate(_bell_display(nmax, weight)))
 
 
 def u_bell_display_ok(nmax: int) -> bool:
@@ -238,10 +239,10 @@ def real_zeros_ok(alpha: Fraction, beta: Fraction, nmax_main: int) -> tuple[bool
     Returns (ok, number of asserted degrees checked); zero asserted
     degrees means the parameters carry no claim.
     """
-    params = family.FamilyParams(alpha, beta)
     degrees = zeros.asserted_degrees(alpha, beta, nmax_main)
+    _, rows = stirling.scaled_rows(alpha, beta, len(degrees))  # degrees is 1..len
     for checked, n in enumerate(degrees, 1):
-        if not zeros.all_roots_real(family.poly(params, n)):
+        if not zeros.real_rooted_row(rows[n]):  # d**n times member n
             return False, checked
     return True, len(degrees)
 

@@ -6,10 +6,11 @@ remainder chain of p and p', built once over the integers by
 member is gcd(p, p'), so one chain gives the distinct-root count, the
 square-free part p / gcd(p, p') and the real-rootedness verdict: p is
 real-rooted exactly when it has deg p - deg gcd(p, p') distinct real
-roots.  Root isolation bisects [-B, B] on exact counts, where
-B = 1 + max|c_i/c_n| is the Cauchy bound read off the chain's first
-member, p as integers; once a root is alone in its interval, bisection
-follows the sign of p only.  Every sign is read from one integer kernel,
+roots.  A family member's chain is read off its integer row of
+``scaled_rows``, a positive multiple of it.  Root isolation bisects
+[-B, B] on exact counts, where B = 1 + max|c_i/c_n| is the Cauchy bound
+read off the chain's first member, p as integers; once a root is alone
+in its interval, bisection follows the sign of p only.  Every sign is read from one integer kernel,
 ``_sign_at``: the sign of q(n/d) with d > 0 is the sign of the integer
 sum of c_i * n**i * d**(deg - i), and at (+-1, 0) the same sum is q's
 leading term, whose sign is q's at +-infinity.  Bisection points are
@@ -46,6 +47,12 @@ def sturm_chain(p: QPolynomial) -> tuple[tuple[int, ...], ...]:
     if p.is_zero:
         raise ValueError("no remainder chain for the zero polynomial")
     return remainder_sequence(p, p.derivative())
+
+
+def _row_chain(row) -> tuple[tuple[int, ...], ...]:
+    """``sturm_chain`` of p, read off the integer coefficients ``row`` of any
+    positive multiple of p, low degree first."""
+    return remainder_sequence(row, [i * c for i, c in enumerate(row)][1:])
 
 
 def _sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
@@ -101,6 +108,12 @@ def all_roots_real(p: QPolynomial) -> bool:
         raise ValueError("real-rootedness is only defined for degree >= 1")
     chain = sturm_chain(p)
     return _count_distinct(chain) == p.degree - (len(chain[-1]) - 1)
+
+
+def real_rooted_row(row) -> bool:
+    """``all_roots_real`` of the polynomial with integer coefficients ``row``."""
+    chain = _row_chain(row)
+    return _count_distinct(chain) == len(chain[0]) - len(chain[-1])
 
 
 def isolate_roots(
@@ -259,20 +272,19 @@ def region_report(
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     region = classify_region(params.alpha, params.beta)
     asserted = asserted_degrees(params.alpha, params.beta, nmax)
+    _, triangle = scaled_rows(params.alpha, params.beta, nmax)
     rows = []
     for n in range(1, nmax + 1):
         # q has p's roots, all simple: one interval per distinct real root.
-        # For square-free p, q is p and p's chain serves both steps.
-        q = poly(params, n)
-        chain = sturm_chain(q)
+        # For square-free p, q is p, and the chain of row n, d**n * p, serves both steps.
+        chain = _row_chain(triangle[n])
         if len(chain[-1]) > 1:
-            q = _divide_gcd(q, chain[-1])
-            chain = sturm_chain(q)
+            chain = sturm_chain(_divide_gcd(poly(params, n), chain[-1]))
         roots = tuple(_isolate(chain, max_width))
         rows.append(
             RegionRow(
                 n=n,
-                all_real=len(roots) == q.degree,
+                all_real=len(roots) == len(chain[0]) - 1,
                 asserted=n in asserted,
                 roots=roots,
             )

@@ -46,12 +46,12 @@ from math import comb, factorial, perm
 
 import pytest
 
-from gstirling import family, operators, series, stirling, suite, zeros
+from gstirling import family, operators, qpoly, series, stirling, suite, zeros
 from gstirling.family import FamilyParams, addition, eval_dobinski, poly, to_bell_basis
 from gstirling.operators import ExpMonomialSum
 from gstirling.qpoly import QPolynomial, linear_products, rising_polys, rising_rows, triangle_product
 from gstirling.rationals import common_scale, falling, rising, scaled_row
-from gstirling.stirling import gstirling_explicit, scaled_rows, triangle_rows
+from gstirling.stirling import explicit_rows, gstirling_explicit, scaled_rows, triangle_rows
 
 F = Fraction
 
@@ -449,13 +449,23 @@ def _check_gf_rows(alpha, beta, nmax):
 
 
 def _check_gf_derivative(monkeypatch, alpha, beta, m, order, bump):
-    """Both checks see the same explicit entries, one of which may be off
-    by ``bump`` (zero keeps them right); their verdicts must agree."""
-    def explicit(a, b, n, k):
-        value = gstirling_explicit(a, b, n, k)
-        return value + bump if k == n // 2 else value
+    """Both checks see the same explicit entries, entry (n, n // 2) off by
+    ``bump`` (zero keeps them right); their verdicts must agree.  The integer
+    sum k! * d**n * S(n, k) moves by bump * k! * d**n where that is an
+    integer and by 1 where it is not, a weight d**n * S(n, k) off the integers
+    for k >= 2."""
+    def bumped_rows(a, b, nmax):
+        d, rows = explicit_rows(a, b, nmax)
+        for n, row in enumerate(rows):
+            shift = bump * factorial(n // 2) * d**n
+            row[n // 2] += shift.numerator if shift.denominator == 1 else 1
+        return d, rows
 
-    monkeypatch.setattr(stirling, "gstirling_explicit", explicit)
+    def explicit(a, b, n, k):
+        d, rows = bumped_rows(a, b, n)
+        return F(rows[n][k], factorial(k) * d**n)
+
+    monkeypatch.setattr(stirling, "explicit_rows", bumped_rows)
     (verdict,) = series.verify_gf_derivatives(alpha, beta, (m,), order)
     assert verdict == _derivative_holds_fractions(alpha, beta, m, order, explicit)
     assert verdict == (bump == 0)
@@ -960,8 +970,17 @@ def test_connection_checks_on_hypothesis_draws(monkeypatch):
         n = rng.randint(0, nmax)
         _check_operator_walks(monkeypatch, checks, nmax, ((alpha, beta), n, rng.randint(0, n)))
 
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(alphas, betas, st.integers(0, 6), rngs)
+    def readers(alpha, beta, nmax, rng):
+        checks = _reader_checks(alpha, beta, nmax)
+        _check_operator_walks(monkeypatch, checks, nmax)
+        n = rng.randint(0, nmax)
+        _check_operator_walks(monkeypatch, checks, nmax, ((alpha, beta), n, rng.randint(0, max(n - 1, 0))))
+
     connections()
     operator_walks()
+    readers()
 
 
 # ---------------------------------------------------------------------------
@@ -1021,3 +1040,161 @@ def test_operator_walks_match_the_fraction_routes(monkeypatch, alpha, beta):
     assert not any(held.values())
     held = _check_operator_walks(monkeypatch, checks[2:3], nmax, (("stirling", 1), 4, 2))
     assert held == {"bell-basis": False}
+
+
+# ---------------------------------------------------------------------------
+# the triangle readers on integer rows against their Fraction routes:
+# triple-route, recurrence-chain, rbell, real-zeros with the region report,
+# and the specialization Bell displays, each as it read Fraction rows
+
+
+def _triple_route_fractions(alpha, beta, nmax):
+    """``suite.triple_route_ok`` on ``Fraction`` rows: the recurrence against
+    the series extraction and the explicit sum, entry by entry."""
+    rows = triangle_rows(alpha, beta, nmax)
+    egf = _egf_rows(_family_columns_fractions(alpha, beta, nmax))
+    return all(
+        rows[n][k] == egf[n][k] == _explicit_fractions(alpha, beta, n, k)
+        for n in range(nmax + 1)
+        for k in range(n + 1)
+    )
+
+
+def _recurrence_chain_fractions(alpha, beta, nmax):
+    params = FamilyParams(alpha, beta)
+    current = QPolynomial.one()
+    for n in range(nmax):
+        current = family.derivative_recurrence_step(params, current, n)
+        if current != poly(params, n + 1):
+            return False
+    return True
+
+
+def _rbell_fractions(alpha, beta, r, nmax):
+    a = [rising(-beta, j) for j in range(1, nmax + 1)]
+    b = [rising(-alpha, j) for j in range(nmax + 1)]
+    return _partial_r_bell_fractions(r, nmax, a, b) == triangle_rows(r * alpha, beta, nmax)
+
+
+def _real_zeros_fractions(alpha, beta, nmax):
+    params = FamilyParams(alpha, beta)
+    degrees = zeros.asserted_degrees(alpha, beta, nmax)
+    for checked, n in enumerate(degrees, 1):
+        if not zeros.all_roots_real(poly(params, n)):
+            return False, checked
+    return True, len(degrees)
+
+
+def _region_rows_fractions(params, nmax, max_width):
+    """(n, all_real, roots) per degree, each chain built from ``poly``."""
+    out = []
+    for n in range(1, nmax + 1):
+        q = poly(params, n)
+        chain = zeros.sturm_chain(q)
+        if len(chain[-1]) > 1:
+            q = zeros.square_free_part(q)
+            chain = zeros.sturm_chain(q)
+        roots = tuple(zeros._isolate(chain, max_width))
+        out.append((n, len(roots) == q.degree, roots))
+    return out
+
+
+def _region_rows(params, nmax, max_width):
+    report = zeros.region_report(params, nmax, max_width)
+    return [(row.n, row.all_real, row.roots) for row in report.results]
+
+
+def _bell_display_fractions(params, nmax, weight):
+    """``suite._bell_display_ok`` as it summed each display entry over
+    ``Fraction`` against ``to_bell_basis``, one walk per degree."""
+    for n in range(nmax + 1):
+        coeffs = to_bell_basis(params, n)
+        unsigned = [abs(stirling.stirling1(n, k)) for k in range(n + 1)]
+        for j in range(n + 1):
+            display = sum(comb(k, j) * unsigned[k] * weight(k, j) for k in range(j, n + 1))
+            if coeffs[j] != display:
+                return False
+    return True
+
+
+def _reader_checks(alpha, beta, nmax):
+    """(name, integer route, Fraction route, arguments) for the triangle
+    readers at one pair; rbell at r reads the triangle at (r*alpha, beta)."""
+    return [
+        ("triple-route", suite.triple_route_ok, _triple_route_fractions, (alpha, beta, nmax)),
+        ("recurrence-chain", suite.recurrence_chain_ok, _recurrence_chain_fractions, (alpha, beta, nmax)),
+        ("real-zeros", suite.real_zeros_ok, _real_zeros_fractions, (alpha, beta, nmax)),
+        ("region", _region_rows, _region_rows_fractions, (FamilyParams(alpha, beta), max(nmax, 1), F(1, 8))),
+    ] + [
+        (f"rbell r={r}", stirling.verify_rbell_connection, _rbell_fractions, (alpha, beta, r, nmax))
+        for r in suite.RBELL_RS
+    ]
+
+
+READER_NMAX = 6
+
+
+@pytest.mark.parametrize("alpha, beta", suite.GRID + tuple(ORACLE_PAIRS))
+def test_triangle_readers_match_the_fraction_routes(monkeypatch, alpha, beta):
+    nmax = READER_NMAX
+    checks = _reader_checks(alpha, beta, nmax)
+    held = _check_operator_walks(monkeypatch, checks, nmax)
+    assert held.pop("real-zeros")[0] and held.pop("region")
+    assert all(held.values())
+    d, sums = explicit_rows(alpha, beta, nmax)
+    assert sums == [
+        [factorial(k) * d**n * _explicit_fractions(alpha, beta, n, k) for k in range(n + 1)]
+        for n in range(nmax + 1)
+    ]
+    # one wrong T(n, k) fails triple-route and, for n >= 1, recurrence-chain;
+    # at (r*alpha, beta) it fails rbell at r; real-zeros and the region report
+    # need only agree.  k < n keeps each member's degree: T(n, n) = (-b)**n
+    # may be -1, which the bump would make 0
+    rng = random.Random(str((alpha, beta)))
+    for n in range(nmax + 1):
+        k = rng.randint(0, max(n - 1, 0))
+        held = _check_operator_walks(monkeypatch, checks, nmax, ((alpha, beta), n, k))
+        assert not held["triple-route"]
+        assert held["recurrence-chain"] == (n == 0)
+        r = rng.choice(suite.RBELL_RS)
+        rbell = [c for c in checks if c[0] == f"rbell r={r}"]
+        held = _check_operator_walks(monkeypatch, rbell, nmax, ((r * alpha, beta), n, k))
+        assert held == {f"rbell r={r}": False}
+
+
+DISPLAY_CASES = [
+    ("U", family.U_PARAMS, lambda k, j: F(1, 2**k)),
+    ("V", family.V_PARAMS, lambda k, j: F(3, 2) ** k / 3**j),
+] + [
+    (f"laguerre {lam}", family.laguerre_params(lam), lambda k, j, lam=lam: (lam + 1) ** (k - j))
+    for lam in (F(0), F(1), F(5, 2))
+] + [
+    (f"assoc-lah {m}", FamilyParams(F(0), F(-m)), lambda k, j, m=m: m**j if k == j else 0)
+    for m in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("name, params, weight", DISPLAY_CASES, ids=[c[0] for c in DISPLAY_CASES])
+def test_bell_displays_match_the_fraction_sums(monkeypatch, name, params, weight):
+    # one walk for every degree against one walk per degree, on correct
+    # inputs, with s(4, 2) bumped in the cache and with the walk's entry
+    # (3, 1) bumped, which both routes read through qpoly.linear_products
+    nmax = 8
+    assert suite._bell_display_ok(params, nmax, weight)
+    assert _bell_display_fractions(params, nmax, weight)
+    with monkeypatch.context() as patch:
+        _bump_cached_entry(patch, ("stirling", 1), nmax, 4, 2)
+        assert not suite._bell_display_ok(params, nmax, weight)
+        assert not _bell_display_fractions(params, nmax, weight)
+    right = qpoly.linear_products
+
+    def bumped(factors):
+        rows = right(factors)
+        if len(rows) > 3:
+            rows[3][1] += 1
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qpoly, "linear_products", bumped)
+        assert not suite._bell_display_ok(params, nmax, weight)
+        assert not _bell_display_fractions(params, nmax, weight)

@@ -92,13 +92,16 @@ def test_gf_derivative_identity_examples():
 
 
 def test_gf_derivative_detects_a_wrong_triangle_entry(monkeypatch):
-    right = stirling.gstirling_explicit
+    # S(3, 2) bumped by 1: the explicit sum holds 2! * d**3 * S(3, 2)
+    right = stirling.explicit_rows
 
-    def wrong(alpha, beta, n, k):
-        value = right(alpha, beta, n, k)
-        return value + 1 if (n, k) == (3, 2) else value
+    def wrong(alpha, beta, nmax):
+        d, rows = right(alpha, beta, nmax)
+        if nmax >= 3:
+            rows[3][2] += 2 * d**3
+        return d, rows
 
-    monkeypatch.setattr(stirling, "gstirling_explicit", wrong)
+    monkeypatch.setattr(stirling, "explicit_rows", wrong)
     assert not verify_gf_derivative(F("-1/2"), F("-1/2"), 3, 10)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling import family, stirling, suite, zeros
+from gstirling import family, rising, series, stirling, suite, zeros
 
 F = Fraction
 
@@ -43,8 +43,8 @@ def test_inverse_pair_detects_a_wrong_inverse_entry(monkeypatch):
 
 
 def test_bell_basis_round_trip_detects_a_wrong_bell_basis_row(monkeypatch):
-    # the round trip alone reads suite.rising_rows: the forward identity and
-    # the display read neither it nor its entry (3, 1)
+    # the round trip and the display read suite.rising_rows; the forward
+    # identity reads neither it nor its entry (3, 1)
     right = suite.rising_rows
 
     def wrong(alpha, beta, nmax):
@@ -54,6 +54,25 @@ def test_bell_basis_round_trip_detects_a_wrong_bell_basis_row(monkeypatch):
         return d, rows
 
     monkeypatch.setattr(suite, "rising_rows", wrong)
+    for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(2)), (F(-3, 2), F(1, 2))):
+        assert suite.bell_basis_ok(alpha, beta, 2)
+        assert not suite.bell_basis_ok(alpha, beta, 4)
+
+
+def test_bell_basis_round_trip_detects_a_wrong_triangle_entry(monkeypatch):
+    # the round trip alone reads T through stirling.scaled_rows: the forward
+    # identity reads family.scaled_rows, and the display reads no T
+    right = stirling.scaled_rows
+
+    def wrong(alpha, beta, nmax):
+        # entry (3, 1) of S bumped by 1: its integer row holds d**3 * S(3, 1)
+        d, rows = right(alpha, beta, nmax)
+        if nmax < 3:
+            return d, rows
+        bumped = rows[3][:1] + (rows[3][1] + d**3,) + rows[3][2:]
+        return d, rows[:3] + (bumped,) + rows[4:]
+
+    monkeypatch.setattr(stirling, "scaled_rows", wrong)
     for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(2)), (F(-3, 2), F(1, 2))):
         assert suite.bell_basis_ok(alpha, beta, 2)
         assert not suite.bell_basis_ok(alpha, beta, 4)
@@ -69,15 +88,16 @@ def test_bell_basis_round_trip_detects_a_wrong_bell_basis_row(monkeypatch):
     ],
 )
 def test_specializations_detect_a_wrong_bell_coefficient(monkeypatch, params, detail):
-    right = family.to_bell_basis
+    # Bell-basis coefficient (3, 1) bumped by 1: the walk's row 3 holds d**3 times it
+    right = suite.rising_rows
 
-    def wrong(p, n):
-        coeffs = right(p, n)
-        if p == params and n == 3:
-            coeffs[1] += 1
-        return coeffs
+    def wrong(alpha, beta, nmax):
+        d, rows = right(alpha, beta, nmax)
+        if (alpha, beta) == (params.alpha, params.beta) and nmax >= 3:
+            rows[3][1] += d**3
+        return d, rows
 
-    monkeypatch.setattr(family, "to_bell_basis", wrong)
+    monkeypatch.setattr(suite, "rising_rows", wrong)
     failed = [detail for detail, ok in suite.specializations_ok(4) if not ok]
     assert failed == [detail]
 
@@ -136,6 +156,22 @@ def test_recurrence_chain_detects_a_wrong_triangle_entry(monkeypatch):
         assert not suite.recurrence_chain_ok(alpha, beta, 3)
 
 
+def test_real_zeros_detects_a_member_with_complex_roots(monkeypatch):
+    # row 2 of U replaced by d**2 * (1 + x**2), which has no real root
+    alpha, beta = family.U_PARAMS.alpha, family.U_PARAMS.beta
+    right = stirling.scaled_rows
+
+    def wrong(a, b, nmax):
+        d, rows = right(a, b, nmax)
+        if (a, b) != (alpha, beta) or nmax < 2:
+            return d, rows
+        return d, rows[:2] + ((d**2, 0, d**2),) + rows[3:]
+
+    monkeypatch.setattr(stirling, "scaled_rows", wrong)
+    assert suite.real_zeros_ok(alpha, beta, 1) == (True, 1)
+    assert suite.real_zeros_ok(alpha, beta, 4) == (False, 2)
+
+
 def test_log_concave_detects_one_shrunk_integer_entry(monkeypatch):
     # T(6, 3) halved stays positive, so the Newton inequality at (6, 3) is
     # what must notice it, in every binding the check reads the rows through
@@ -158,29 +194,34 @@ def test_log_concave_detects_one_shrunk_integer_entry(monkeypatch):
 
 @pytest.mark.parametrize("route", ["gstirling_explicit", "gstirling_egf"])
 def test_triple_route_detects_a_wrong_entry_on_either_route(monkeypatch, route):
-    right_explicit, right_egf = stirling.gstirling_explicit, stirling.gstirling_egf
+    # entry (4, 2) one off on one route: the explicit sum 2! * T(4, 2), or
+    # entry 4 of column 2 of the series extraction, T(4, 2)
+    right_explicit, right_columns = stirling.explicit_rows, series.columns
 
-    def wrong_explicit(alpha, beta, n, k):
-        value = right_explicit(alpha, beta, n, k)
-        return value + F(1, 7) if (n, k) == (4, 2) else value
+    def wrong_explicit(alpha, beta, nmax):
+        d, rows = right_explicit(alpha, beta, nmax)
+        if nmax >= 4:
+            rows[4][2] += 1
+        return d, rows
 
-    def wrong_egf(alpha, beta, nmax):
-        rows = right_egf(alpha, beta, nmax)
-        if nmax < 4:
-            return rows
-        bumped = rows[4][:2] + (rows[4][2] + F(1, 7),) + rows[4][3:]
-        return rows[:4] + (bumped,) + rows[5:]
+    def wrong_columns(head, base):
+        cols = right_columns(head, base)
+        if len(cols) > 4:
+            cols[2][4] += 1
+        return cols
 
-    wrong = wrong_explicit if route == "gstirling_explicit" else wrong_egf
-    monkeypatch.setattr(stirling, route, wrong)
+    if route == "gstirling_explicit":
+        monkeypatch.setattr(stirling, "explicit_rows", wrong_explicit)
+    else:
+        monkeypatch.setattr(series, "columns", wrong_columns)
     for alpha, beta in ((F(1, 3), F(-1, 2)), (F(0), F(-3)), (F(-3, 2), F(2))):
         assert suite.triple_route_ok(alpha, beta, 3)
         assert not suite.triple_route_ok(alpha, beta, 4)
 
 
 def _rbell_sequences(alpha, beta, nmax):
-    a = [stirling.rising(-beta, j) for j in range(1, nmax + 1)]
-    b = [stirling.rising(-alpha, j) for j in range(nmax + 1)]
+    a = [rising(-beta, j) for j in range(1, nmax + 1)]
+    b = [rising(-alpha, j) for j in range(nmax + 1)]
     return a, b
 
 
@@ -200,14 +241,18 @@ def test_partial_r_bell_rows_detect_one_wrong_sequence_term(which, index, delta)
 
 
 def test_rbell_connection_detects_one_wrong_sequence_term(monkeypatch):
-    right = stirling.rising
+    # at (1/3, -1/2), d = 6 and beta*d = -3, so the u-form of the sequence
+    # a_j = rising(1/2, j) is u_binomial(-3, 6, .), its entry j being 6**j * a_j
+    right = stirling.u_binomial
 
-    def wrong(a, n):
-        value = right(a, n)
-        return value + F(1, 5) if (a, n) == (F(1, 2), 3) else value
+    def wrong(p, scale, order):
+        entries = right(p, scale, order)
+        if (p, scale) == (-3, 6) and order >= 3:
+            entries[3] += 1
+        return entries
 
-    monkeypatch.setattr(stirling, "rising", wrong)
-    # at beta = -1/2 the term a_3 = rising(1/2, 3) is bumped from n = 3 on
+    monkeypatch.setattr(stirling, "u_binomial", wrong)
+    # the term a_3 = rising(1/2, 3) is bumped from n = 3 on
     assert stirling.verify_rbell_connection(F(1, 3), F(-1, 2), 2, 2)
     assert not stirling.verify_rbell_connection(F(1, 3), F(-1, 2), 2, 3)
     assert not suite.rbell_ok(F(1, 3), F(-1, 2), 4)

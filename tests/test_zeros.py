@@ -11,10 +11,12 @@ from gstirling.zeros import (
     REGION_NONE,
     REGION_SECONDARY,
     _count_distinct,
+    _row_chain,
     all_roots_real,
     check_newton_logconcave,
     classify_region,
     isolate_roots,
+    real_rooted_row,
     region_report,
     square_free_part,
     sturm_chain,
@@ -89,6 +91,26 @@ def test_all_roots_real_examples():
     assert all_roots_real(_from_roots([1, 1, 1, -2, -2]))  # (x-1)^3 (x+2)^2
     with pytest.raises(ValueError):
         all_roots_real(QPolynomial.one())
+
+
+def test_real_rooted_row_matches_all_roots_real():
+    # integer coefficients of any positive multiple give the same chain,
+    # member for member, and the same verdict
+    polys = [
+        _from_roots([1, 1, -2]),
+        QPolynomial((1, 0, 1)),
+        _from_roots([3], [(1, 0, 1), (1, 0, 1)]),
+        _from_roots([0, 0, 0], [(2, 0, 1)]),
+        _from_roots([1, 1, 1, -2, -2]),
+        _from_roots([F(1, 2), -3], [(1, 1, 1)]),
+        _from_roots([F(-2, 3), F(5, 7), 4]),
+    ]
+    for p in polys:
+        den = math.lcm(*(c.denominator for c in p.coefficients))
+        for scale in (den, 6 * den):
+            row = tuple(int(c * scale) for c in p.coefficients)
+            assert _row_chain(row) == sturm_chain(p)
+            assert real_rooted_row(row) == all_roots_real(p)
 
 
 @pytest.mark.parametrize("n", [1, 5, 12, 20])
