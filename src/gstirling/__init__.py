@@ -9,9 +9,7 @@ claims through signed remainder chains.
 
 from .family import (
     FamilyParams,
-    addition,
     bell_rows,
-    derivative_recurrence_step,
     eval_dobinski,
     family_assoc_lah,
     family_laguerre,
@@ -21,16 +19,14 @@ from .family import (
     poly,
     rebase,
     rising_expansion,
-    to_bell_basis,
     verify_bell_basis_forward,
 )
 from .operators import (
-    ExpMonomialSum,
     verify_bell_operator,
     verify_rodrigues_first,
     verify_rodrigues_second,
 )
-from .qpoly import QPolynomial, poly_divexact
+from .qpoly import QPolynomial
 from .rationals import (
     WireFormatError,
     falling,
@@ -38,13 +34,10 @@ from .rationals import (
     parse_rational,
     rising,
 )
-from .series import verify_gf_derivative
+from .series import verify_gf_derivatives
 from .stirling import (
     CompositionReport,
     composition_report,
-    gstirling_egf,
-    gstirling_explicit,
-    gstirling_inverse,
     gstirling_table,
     lah,
     partial_r_bell_rows,

@@ -4,9 +4,9 @@ Subcommands: ``table`` (coefficient triangle), ``poly`` (one family
 member), ``eval`` (summed-series evaluation), ``zeros`` (real-root
 report), ``family`` (named specializations), ``verify`` (identity
 checks).  Exit codes are fixed for scripting: 0 success, 1 I/O error,
-2 usage or arithmetic error, 3 verification failure.  Rationals
-on the command line use the same exact "p/q" syntax as every emitter;
-decimals are rejected.
+2 usage or arithmetic error, 3 verification failure, 130 interrupted.
+Rationals on the command line use the same exact "p/q" syntax as every
+emitter; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as shells report it
 
 
 def _rational(text: str) -> Fraction:
@@ -355,6 +356,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 def entry() -> None:

@@ -1,9 +1,9 @@
 """The two-parameter polynomial family and its named specializations.
 
 Polynomials are built from the coefficient triangle (single source of
-truth); the recurrence step, the addition formula, the basis changes and
-the summed evaluation are independent expressions of the same family and
-double as cross-checks on one another.
+truth); the addition formula, the basis changes and the summed evaluation
+are independent expressions of the same family and double as cross-checks
+on one another.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
-from .qpoly import QPolynomial, linear_products, rising_polys, rising_rows, triangle_product
+from .qpoly import QPolynomial, linear_products, rising_polys, triangle_product
 from .rationals import common_scale, rising, scaled_row
 from .stirling import lah, scaled_rows, stirling2, triangle_row
 
@@ -40,18 +40,6 @@ def poly(params: FamilyParams, n: int) -> QPolynomial:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return QPolynomial(triangle_row(params.alpha, params.beta, n))
-
-
-def derivative_recurrence_step(params: FamilyParams, p_n: QPolynomial, n: int) -> QPolynomial:
-    """One step of the derivative recurrence:
-
-    next = (n - alpha - beta*x) * p_n - beta * x * p_n'.
-
-    Starting from the constant 1 and iterating reproduces the whole family.
-    """
-    a, b = params.alpha, params.beta
-    linear = QPolynomial((n - a, -b))
-    return linear * p_n - QPolynomial((0, b)) * p_n.derivative()
 
 
 def bell_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
@@ -145,20 +133,6 @@ def _times_exp(total: Fraction, x: Fraction) -> float | Decimal:
     return value if math.isfinite(value) else exact
 
 
-def to_bell_basis(params: FamilyParams, n: int) -> list[Fraction]:
-    """Coefficients of the degree-n member in the Bell polynomial basis.
-
-    The member is exp(-x) * sum_k rising(-alpha - beta*k, n) * x**k / k!
-    (``eval_dobinski``) and Bell_j(x) is exp(-x) * sum_k k**j * x**k / k!,
-    so coefficient j is the y**j coefficient of rising(-alpha - beta*y, n):
-    row n of ``rising_rows`` over d**n, the only row reduced.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    d, rows = rising_rows(params.alpha, params.beta, n)
-    return [Fraction(v, d**n) for v in rows[n]]
-
-
 def verify_bell_basis_forward(params: FamilyParams, nmax: int) -> bool:
     """Check the forward Bell-basis identity for every n <= nmax:
 
@@ -204,20 +178,12 @@ def reconstructs(coeff_rows, params_to: FamilyParams, params_from: FamilyParams)
     )
 
 
-def addition(params: FamilyParams, n: int, m: int) -> QPolynomial:
-    """Degree n+m member assembled by the index-splitting formula:
+def scaled_addition(params: FamilyParams, n: int, m: int) -> tuple[int, list[int]]:
+    """(d, d**(n+m) times the degree n+m member assembled by the
+    index-splitting formula), d from ``common_scale``:
 
     sum_{j<=n} sum_{k<=m} C(n, j) * rising(m - beta*k, n-j) * S(m, k)
-        * x**k * family_j(x),
-
-    the integers of ``scaled_addition`` over d**(n+m).
-    """
-    d, out = scaled_addition(params, n, m)
-    return QPolynomial(Fraction(v, d ** (n + m)) for v in out)
-
-
-def scaled_addition(params: FamilyParams, n: int, m: int) -> tuple[int, list[int]]:
-    """(d, the coefficients of ``addition`` times d**(n+m)), d from ``common_scale``.
+        * x**k * family_j(x).
 
     Every term is an integer over d**(n+m): d**(n-j) * rising(m - beta*k, n-j)
     is prod_{l<n-j} (m*d - b*k + l*d), and rows m and j are the integers

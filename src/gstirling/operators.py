@@ -1,11 +1,11 @@
-"""Exact symbolic algebra on finite sums of c * x**g * exp(x**b) terms.
+"""Exact checks of the family's derivative and Euler-operator representations.
 
-The term shape is closed under d/dx and under x*d/dx, which is what the
-derivative-representation identities of the family need.  Identities are
-compared as maps from (rational) exponents to coefficients: finitely
-many real powers of x with equal coefficient maps define equal functions
-on x > 0, so the comparison is strictly stronger than any numeric check.
-The verifiers walk sums on one exponent lattice, each as an integer list.
+The identities act on finite sums of c * x**g * exp(x**b) terms, a shape
+closed under d/dx and under x*d/dx.  Identities are compared as maps from
+(rational) exponents to coefficients: finitely many real powers of x with
+equal coefficient maps define equal functions on x > 0, so the comparison is
+strictly stronger than any numeric check.  Each sum's exponents lie on one
+lattice g + j*b, and ``_lattice_walk`` steps its integer coefficients over j.
 """
 
 from __future__ import annotations
@@ -18,102 +18,6 @@ from .family import bell_rows
 from .qpoly import triangle_product
 from .rationals import common_scale
 from .stirling import scaled_rows
-
-
-class ExpMonomialSum:
-    """Finite sum of c * x**gamma * exp(x**beta_exp) with one shared beta_exp.
-
-    Stored as an exponent-to-coefficient map with no zero coefficients.
-    """
-
-    __slots__ = ("_beta", "_terms")
-
-    def __init__(self, beta_exp, terms: Iterable = ()):
-        beta = Fraction(beta_exp)
-        if beta == 0:
-            raise ValueError("the exponential exponent must be nonzero")
-        acc: dict[Fraction, Fraction] = {}
-        for g, c in terms:
-            g = g if isinstance(g, Fraction) else Fraction(g)
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if g in acc:
-                c += acc[g]
-            if c:
-                acc[g] = c
-            else:
-                acc.pop(g, None)
-        self._beta = beta
-        self._terms = acc
-
-    @classmethod
-    def monomial(cls, beta_exp, gamma, coeff=1) -> "ExpMonomialSum":
-        return cls(beta_exp, ((gamma, coeff),))
-
-    @property
-    def beta_exp(self) -> Fraction:
-        return self._beta
-
-    def terms(self) -> dict[Fraction, Fraction]:
-        return dict(self._terms)
-
-    def coeff(self, gamma) -> Fraction:
-        return self._terms.get(Fraction(gamma), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExpMonomialSum):
-            return NotImplemented
-        return self._beta == other._beta and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{c} * x**{g}" for g, c in sorted(self._terms.items())
-        )
-        return f"ExpMonomialSum(beta_exp={self._beta}, [{body}] * exp(x**{self._beta}))"
-
-    def __add__(self, other: "ExpMonomialSum") -> "ExpMonomialSum":
-        if not isinstance(other, ExpMonomialSum):
-            return NotImplemented
-        if self._beta != other._beta:
-            raise ValueError("cannot add sums over different exponential exponents")
-        merged = list(self._terms.items()) + list(other._terms.items())
-        return ExpMonomialSum(self._beta, merged)
-
-    def scale(self, factor) -> "ExpMonomialSum":
-        f = Fraction(factor)
-        return ExpMonomialSum(self._beta, ((g, c * f) for g, c in self._terms.items()))
-
-    def xshift(self, delta) -> "ExpMonomialSum":
-        """Multiply by x**delta (delta may be any rational)."""
-        d = Fraction(delta)
-        return ExpMonomialSum(self._beta, ((g + d, c) for g, c in self._terms.items()))
-
-    def derivative(self) -> "ExpMonomialSum":
-        """Exact d/dx, term by term:
-
-        c * x**g -> c*g * x**(g-1) + c*beta * x**(g+beta-1),
-        both still against exp(x**beta).
-        """
-        b = self._beta
-        out = []
-        for g, c in self._terms.items():
-            if g:
-                out.append((g - 1, c * g))
-            out.append((g + b - 1, c * b))
-        return ExpMonomialSum(b, out)
-
-    def euler_shift(self, c) -> "ExpMonomialSum":
-        """Apply (x * d/dx + c) exactly."""
-        shift = Fraction(c)
-        b = self._beta
-        out = []
-        for g, coeff in self._terms.items():
-            out.append((g, coeff * (g + shift)))
-            out.append((g + b, coeff * b))
-        return ExpMonomialSum(b, out)
 
 
 def _lattice_walk(shifts: Iterable[int], b: int):

@@ -28,12 +28,6 @@ class QPolynomial:
     def one(cls) -> "QPolynomial":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, k: int, coeff: Fraction | int = 1) -> "QPolynomial":
-        if k < 0:
-            raise ValueError(f"monomial exponent must be >= 0, got {k}")
-        return cls((0,) * k + (coeff,))
-
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return self._coeffs
@@ -118,25 +112,6 @@ class QPolynomial:
             acc = acc * x + c
         return acc
 
-    def __divmod__(self, other: "QPolynomial"):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        dd = other.degree
-        dlead = other.lead
-        rem = list(self._coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                f = c / dlead
-                quo[i - dd] = f
-                rem[i] = Fraction(0)
-                for j in range(dd):
-                    rem[i - dd + j] -= f * other._coeffs[j]
-        return QPolynomial(quo), QPolynomial(rem[:dd])
-
 
 def triangle_product(left: Sequence, right: Sequence, scale: int = 1) -> list[list]:
     """Row n is sum_j left[n][j] * scale**(n-j) * right[j], low degree first.
@@ -184,14 +159,6 @@ def rising_polys(alpha, beta, nmax: int) -> list[QPolynomial]:
     return [QPolynomial(Fraction(v, d**n) for v in row) for n, row in enumerate(rows)]
 
 
-def poly_divexact(p: QPolynomial, q: QPolynomial) -> QPolynomial:
-    """Divide p by q, requiring a zero remainder."""
-    quo, rem = divmod(p, q)
-    if not rem.is_zero:
-        raise ValueError("polynomial division left a nonzero remainder")
-    return quo
-
-
 def _primitive(p) -> tuple[int, ...]:
     """p scaled by a positive rational to coprime integer coefficients; p is a
     ``QPolynomial`` or integer coefficients, whose content alone is divided out."""
@@ -206,23 +173,30 @@ def _content_free(ints: list[int]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """-(a mod b) scaled by a positive rational to coprime integers.
-
-    Pseudo-division by b with its leading coefficient made positive gives
-    lc**(d+1) * (a mod b), d = deg a - deg b, a positive multiple of the
-    remainder; dividing by -b leaves the remainder itself unchanged.
-    """
+def _pseudo_divide(a, b) -> tuple[list[int], list[int]]:
+    """(q, r) with lc**(e+1) * a = q * b + r, e = deg a - deg b, for integer
+    coefficients a and b, low degree first; lc > 0 is b's leading
+    coefficient, b being negated first if it is negative, and r keeps
+    deg b entries, trailing zeros included."""
     if b[-1] < 0:
         b = tuple(-c for c in b)
     lead, db = b[-1], len(b) - 1
-    rem = list(a)
+    rem, quo = list(a), []
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem.pop()
         rem = [lead * v for v in rem]
+        quo = [lead * v for v in quo] + [c]
         if c:
             for j in range(db):
                 rem[i - db + j] -= c * b[j]
+    return quo[::-1], rem
+
+
+def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """-(a mod b) scaled by a positive rational to coprime integers: the
+    remainder of ``_pseudo_divide`` is lc**(e+1) * (a mod b), and dividing
+    by -b leaves the remainder itself unchanged."""
+    rem = _pseudo_divide(a, b)[1]
     while rem and rem[-1] == 0:
         rem.pop()
     return _content_free([-v for v in rem])

@@ -66,8 +66,9 @@ def column_rows(scale: int, cols: list, shift: int = 0) -> tuple[tuple, ...]:
     )
 
 
-def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
-    """Check the closed form of the m-th t-derivative of the family GF.
+def verify_gf_derivatives(alpha, beta, ms, order: int) -> tuple[bool, ...]:
+    """Check the closed form of the m-th t-derivative of the family GF for
+    every m in ms, one verdict each, from one set of columns.
 
     The m-th derivative of F(t, x) equals
     F(t, x) * (1-t)**(-m) * sum_k S(m, k) * x**k * (1-t)**(beta*k),
@@ -81,11 +82,6 @@ def verify_gf_derivative(alpha, beta, m: int, order: int) -> bool:
     The two binomial factors stay separate series, so the check does not
     assume the exponent law (1-t)**a * (1-t)**b = (1-t)**(a+b).
     """
-    return verify_gf_derivatives(alpha, beta, (m,), order)[0]
-
-
-def verify_gf_derivatives(alpha, beta, ms, order: int) -> tuple[bool, ...]:
-    """verify_gf_derivative for every m in ms, one verdict each, from one set of columns."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta == 0:
         raise ValueError("the family requires beta != 0")

@@ -8,20 +8,21 @@ kinds, the Lah and r-Lah numbers (a closed form) and partial (r-)Bell values.
 integer rows T(n, k) = d**n * S(n, k) of ``scaled_rows``, grown when read; a
 ``Fraction`` row is reduced from them only where a caller reads one.  The
 other routes run on integers too: the alternating sum as k! * T(n, k)
-(``explicit_rows``), and the column extraction ``series.columns`` behind
-``gstirling_egf``, ``partial_r_bell_rows`` and ``verify_rbell_connection``.
+(``explicit_rows``), the inverse triangle (``scaled_inverse_rows``), and the
+column extraction ``series.columns`` behind ``series.family_columns``,
+``partial_r_bell_rows`` and ``verify_rbell_connection``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, perm, prod
+from math import comb, lcm, perm
 from typing import Sequence
 
 from .qpoly import rising_rows, triangle_product
 from .rationals import common_scale, scaled_row
-from .series import column_rows, columns, family_columns, u_binomial, u_mul
+from .series import column_rows, columns, u_binomial, u_mul
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -96,11 +97,6 @@ def _reduced(d: int, rows: tuple, first: int = 0):
         yield tuple(Fraction(v, scale) for v in rows[n])
 
 
-def triangle_rows(alpha: Fraction, beta: Fraction, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows 0..nmax of S(n, k) as ``Fraction``s, reduced from ``scaled_rows``."""
-    return tuple(_reduced(*scaled_rows(alpha, beta, nmax)))
-
-
 def triangle_row(alpha: Fraction, beta: Fraction, n: int) -> tuple[Fraction, ...]:
     """Row n of S(n, k) as ``Fraction``s: row n of ``scaled_rows`` over d**n."""
     return next(_reduced(*scaled_rows(alpha, beta, n), n))
@@ -127,28 +123,6 @@ def explicit_rows(alpha, beta, nmax: int) -> tuple[int, list[list[int]]]:
     return d, [[_alternating_sum(p, k) for k in range(n + 1)] for n, p in enumerate(products)]
 
 
-def gstirling_explicit(alpha, beta, n: int, k: int) -> Fraction:
-    """Alternating-sum closed form, an independent route to one entry:
-    S(n, k) = (1/k!) * sum_{j=0..k} (-1)**(k-j) * C(k, j) * rising(-alpha - beta*j, n),
-    the integer ``_alternating_sum`` over k! * d**n (``common_scale``)."""
-    _check_indices(n, k)
-    d, a, b = common_scale(Fraction(alpha), Fraction(beta))
-    products = [prod(range(-a - b * j, n * d - a - b * j, d)) for j in range(k + 1)]
-    return Fraction(_alternating_sum(products, k), factorial(k) * d**n)
-
-
-def gstirling_egf(alpha, beta, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Triangle extracted from column generating functions, a third route.
-
-    Column k of the triangle has exponential generating function
-    C_k = (1/k!) * ((1-t)**beta - 1)**k * (1-t)**alpha, so S(n, k) = n! * C_k[n],
-    read off ``series.family_columns`` at scale d (any beta; at 0 only C_0 is nonzero).
-    """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    return column_rows(*family_columns(alpha, beta, nmax))
-
-
 def scaled_inverse_rows(alpha, beta, nmax: int) -> tuple[int, list[list[int]]]:
     """(d', rows 0..nmax of the inverse triangle times d'**n): entry (n, k) is
     (-1)**(n-k) * T'(n, k), T' the ``scaled_rows`` of the triangle at the
@@ -158,14 +132,6 @@ def scaled_inverse_rows(alpha, beta, nmax: int) -> tuple[int, list[list[int]]]:
         raise ValueError("the inverse triangle requires beta != 0")
     d, rows = scaled_rows(-alpha / beta, 1 / beta, nmax)
     return d, [[v if (n - k) % 2 == 0 else -v for k, v in enumerate(row)] for n, row in enumerate(rows)]
-
-
-def gstirling_inverse(alpha, beta, n: int, k: int) -> Fraction:
-    """Entry of the inverse triangle: (-1)**(n-k) * S'(n, k) where S' is the
-    triangle at parameters (-alpha/beta, 1/beta) (``scaled_inverse_rows``)."""
-    _check_indices(n, k)
-    d, rows = scaled_inverse_rows(alpha, beta, n)
-    return Fraction(rows[n][k], d**n)
 
 
 def _stirling_rows(kind: int, nmax: int) -> tuple[tuple[int, ...], ...]:

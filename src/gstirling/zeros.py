@@ -4,9 +4,9 @@ Root counts come from sign-variation differences along the signed
 remainder chain of p and p', built once over the integers by
 ``qpoly.remainder_sequence`` as a tuple of integer members.  Its last
 member is gcd(p, p'), so one chain gives the distinct-root count, the
-square-free part p / gcd(p, p') and the real-rootedness verdict: p is
-real-rooted exactly when it has deg p - deg gcd(p, p') distinct real
-roots.  A family member's chain is read off its integer row of
+square-free part p / gcd(p, p') (``_divide_gcd``, on integer rows) and
+the verdict: p is real-rooted exactly when it has deg p - deg gcd(p, p')
+distinct real roots.  A family member's chain is read off its integer row of
 ``scaled_rows``, a positive multiple of it.  Root isolation bisects
 [-B, B] on exact counts, where B = 1 + max|c_i/c_n| is the Cauchy bound
 read off the chain's first member, p as integers; once a root is alone
@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import FamilyParams, poly
-from .qpoly import QPolynomial, poly_divexact, remainder_sequence
+from .family import FamilyParams
+from .qpoly import QPolynomial, _primitive, _pseudo_divide, remainder_sequence
 from .stirling import scaled_rows
 
 REGION_MAIN = "A"
@@ -76,18 +76,25 @@ def _chain_signs(chain: tuple[tuple[int, ...], ...], num: int, den: int) -> tupl
     return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
 
 
-def _divide_gcd(p: QPolynomial, last: tuple[int, ...]) -> QPolynomial:
-    """p divided by ``last``, the last member of p's chain."""
-    if len(last) == 1:
-        return p
-    return poly_divexact(p, QPolynomial(Fraction(c, last[-1]) for c in last))
+def _divide_gcd(row, last: tuple[int, ...]) -> tuple[int, ...]:
+    """``row``, the integer coefficients of a positive multiple of p, over
+    ``last``, the last member of p's chain, as coprime integers: the quotient
+    of ``_pseudo_divide``, a positive multiple of it, over its content.  A
+    nonzero remainder raises ValueError."""
+    quo, rem = _pseudo_divide(row, last)
+    if any(rem):
+        raise ValueError("polynomial division left a nonzero remainder")
+    return _primitive(quo)
 
 
 def square_free_part(p: QPolynomial) -> QPolynomial:
-    """p divided by gcd(p, p'): same distinct roots, all simple."""
+    """p divided by gcd(p, p'): same distinct roots, all simple, and the
+    same leading coefficient."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no square-free part")
-    return _divide_gcd(p, sturm_chain(p)[-1])
+    chain = sturm_chain(p)  # chain[0] is p as coprime integers
+    quo = _divide_gcd(chain[0], chain[-1])
+    return QPolynomial(Fraction(c, quo[-1]) * p.lead for c in quo)
 
 
 def _count_distinct(chain: tuple[tuple[int, ...], ...]) -> int:
@@ -279,7 +286,7 @@ def region_report(
         # For square-free p, q is p, and the chain of row n, d**n * p, serves both steps.
         chain = _row_chain(triangle[n])
         if len(chain[-1]) > 1:
-            chain = sturm_chain(_divide_gcd(poly(params, n), chain[-1]))
+            chain = _row_chain(_divide_gcd(triangle[n], chain[-1]))
         roots = tuple(_isolate(chain, max_width))
         rows.append(
             RegionRow(

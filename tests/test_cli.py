@@ -209,6 +209,18 @@ def test_zeros_rejects_nonpositive_width(capsys, width):
     assert err.startswith("error: max_width must be > 0")
 
 
+def test_interrupt_exits_130_with_one_stderr_line(capsys, monkeypatch):
+    # Ctrl-C raises KeyboardInterrupt inside the running command
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_zeros", interrupted)
+    code, out, err = run_cli(capsys, "zeros", "--alpha", "-1/2", "--beta", "-1/2", "--nmax", "60")
+    assert code == 130 and out == ""
+    assert err == "error: interrupted\n"
+    assert "Traceback" not in err
+
+
 def test_decimals_rejected(capsys):
     code, _, _ = run_cli(capsys, "table", "--alpha", "0.5", "--beta", "1", "--nmax", "2")
     assert code == 2

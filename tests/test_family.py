@@ -6,9 +6,7 @@ import pytest
 from gstirling import family
 from gstirling.family import (
     FamilyParams,
-    addition,
     bell_rows,
-    derivative_recurrence_step,
     eval_dobinski,
     family_assoc_lah,
     family_laguerre,
@@ -18,12 +16,14 @@ from gstirling.family import (
     poly,
     rebase,
     rising_expansion,
-    to_bell_basis,
+    scaled_addition,
     verify_bell_basis_forward,
 )
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.stirling import gstirling_egf, gstirling_inverse, lah, partial_r_bell_rows, stirling1
+from gstirling.series import column_rows, family_columns
+from gstirling.stirling import lah, partial_r_bell_rows, scaled_inverse_rows, stirling1
+from test_kernels import derivative_recurrence_step, to_bell_basis
 
 F = Fraction
 PAIRS = [
@@ -57,8 +57,12 @@ def test_monomial_collapse():
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_poly_matches_generating_function(params):
-    for n, row in enumerate(gstirling_egf(params.alpha, params.beta, 10)):
+    for n, row in enumerate(column_rows(*family_columns(params.alpha, params.beta, 10))):
         assert poly(params, n) == QPolynomial(row)
+
+
+# derivative_recurrence_step is the Fraction step that test_kernels.py keeps
+# as the oracle of suite.recurrence_chain_ok
 
 
 @pytest.mark.parametrize("params", PARAMS)
@@ -176,7 +180,8 @@ def test_u_coefficients_display():
 
 def monomial_to_family(params, n):
     """Expansion coefficients of x**n in the family basis: inverse-triangle row n."""
-    return [gstirling_inverse(params.alpha, params.beta, n, k) for k in range(n + 1)]
+    d, rows = scaled_inverse_rows(params.alpha, params.beta, n)
+    return [F(v, d**n) for v in rows[n]]
 
 
 def test_monomial_expansion_base_cases():
@@ -193,7 +198,7 @@ def test_monomial_expansion_reconstructs_powers():
         rebuilt = QPolynomial()
         for k, c in enumerate(coeffs):
             rebuilt = rebuilt + c * poly(params, k)
-        assert rebuilt == QPolynomial.monomial(n)
+        assert rebuilt == QPolynomial((0,) * n + (1,))
 
 
 def test_rebase_to_self_is_identity():
@@ -264,6 +269,12 @@ def test_lah_rebase_detects_a_wrong_mirrored_member(monkeypatch):
 # addition formula
 
 
+def addition(params, n, m):
+    """The degree n+m member by the addition formula: ``scaled_addition`` over d**(n+m)."""
+    d, out = scaled_addition(params, n, m)
+    return QPolynomial(F(v, d ** (n + m)) for v in out)
+
+
 @pytest.mark.parametrize("params", PARAMS)
 def test_addition_degenerate_slices(params):
     for n in range(5):
@@ -287,9 +298,9 @@ def test_u_and_v_small_members():
 
 
 def test_u_v_match_their_generating_functions():
-    for n, row in enumerate(gstirling_egf(F(-1, 2), F(-1, 2), 8)):
+    for n, row in enumerate(column_rows(*family_columns(F(-1, 2), F(-1, 2), 8))):
         assert family_U(n) == QPolynomial(row)
-    for n, row in enumerate(gstirling_egf(F(-3, 2), F(-1, 2), 8)):
+    for n, row in enumerate(column_rows(*family_columns(F(-3, 2), F(-1, 2), 8))):
         assert family_V(n) == QPolynomial(row)
 
 

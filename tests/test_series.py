@@ -6,8 +6,7 @@ import pytest
 from gstirling import stirling
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
-from gstirling.series import verify_gf_derivative
-from gstirling.stirling import gstirling_egf
+from gstirling.series import column_rows, family_columns, verify_gf_derivatives
 from test_kernels import binomial_series, series_mul
 
 F = Fraction
@@ -22,6 +21,11 @@ PAIRS = [
 
 def one(order):
     return (F(1),) + (F(0),) * order
+
+
+def gf_rows(alpha, beta, nmax):
+    """Rows 0..nmax of the triangle read off the column generating functions."""
+    return column_rows(*family_columns(alpha, beta, nmax))
 
 
 def test_binomial_series_values():
@@ -57,25 +61,25 @@ def test_series_mul_rejects_mismatched_orders():
 
 def test_exp_coefficient_matches_family_member():
     # 2! * [t^2] exp(x*((1-t)^-1 - 1)) is the degree-2 member at (0, -1)
-    assert QPolynomial(gstirling_egf(0, -1, 4)[2]) == QPolynomial((0, 2, 1))
+    assert QPolynomial(gf_rows(0, -1, 4)[2]) == QPolynomial((0, 2, 1))
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_gf_first_members(alpha, beta):
-    ps = [QPolynomial(row) for row in gstirling_egf(alpha, beta, 3)]
+    ps = [QPolynomial(row) for row in gf_rows(alpha, beta, 3)]
     assert ps[0] == QPolynomial.one()
     assert ps[1] == QPolynomial((-alpha, -beta))
 
 
 def test_gf_collapses_at_0_1():
-    ps = [QPolynomial(row) for row in gstirling_egf(0, 1, 5)]
+    ps = [QPolynomial(row) for row in gf_rows(0, 1, 5)]
     for n, p in enumerate(ps):
-        assert p == QPolynomial.monomial(n, F(-1) ** n)
+        assert p == QPolynomial((0,) * n + (F(-1) ** n,))
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_gf_degree_and_leading_coefficient(alpha, beta):
-    for n, row in enumerate(gstirling_egf(alpha, beta, 8)):
+    for n, row in enumerate(gf_rows(alpha, beta, 8)):
         p = QPolynomial(row)
         assert p.degree == n
         assert p.lead == (-beta) ** n
@@ -83,12 +87,12 @@ def test_gf_degree_and_leading_coefficient(alpha, beta):
 
 
 def test_gf_derivative_identity_m0():
-    assert verify_gf_derivative(F("2/3"), F(-2), 0, 5)
+    assert verify_gf_derivatives(F("2/3"), F(-2), (0,), 5) == (True,)
 
 
 def test_gf_derivative_identity_examples():
-    assert verify_gf_derivative(F("-1/2"), F("-1/2"), 3, 8)
-    assert verify_gf_derivative(F(2), F(3), 2, 6)
+    assert verify_gf_derivatives(F("-1/2"), F("-1/2"), (3,), 8) == (True,)
+    assert verify_gf_derivatives(F(2), F(3), (2,), 6) == (True,)
 
 
 def test_gf_derivative_detects_a_wrong_triangle_entry(monkeypatch):
@@ -102,11 +106,11 @@ def test_gf_derivative_detects_a_wrong_triangle_entry(monkeypatch):
         return d, rows
 
     monkeypatch.setattr(stirling, "explicit_rows", wrong)
-    assert not verify_gf_derivative(F("-1/2"), F("-1/2"), 3, 10)
+    assert verify_gf_derivatives(F("-1/2"), F("-1/2"), (3,), 10) == (False,)
 
 
 def test_gf_derivative_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        verify_gf_derivative(1, 0, 1, 4)
+        verify_gf_derivatives(1, 0, (1,), 4)
     with pytest.raises(ValueError):
-        verify_gf_derivative(1, 1, 5, 4)
+        verify_gf_derivatives(1, 1, (5,), 4)

@@ -9,22 +9,21 @@ from gstirling import stirling
 from gstirling.family import FamilyParams, poly
 from gstirling.qpoly import QPolynomial
 from gstirling.rationals import rising
+from gstirling.series import column_rows, family_columns
 from gstirling.stirling import (
     composition_report,
-    gstirling_egf,
-    gstirling_explicit,
-    gstirling_inverse,
     gstirling_table,
     lah,
     partial_r_bell_rows,
     rlah,
+    scaled_inverse_rows,
     stirling1,
     stirling2,
     triangle_row,
-    triangle_rows,
     verify_rbell_connection,
 )
 from gstirling.suite import GRID
+from test_kernels import gstirling_explicit, triangle_rows
 
 F = Fraction
 PAIRS = [
@@ -115,6 +114,10 @@ def test_stirling_known_values_and_validation():
 # the central triangle
 
 
+# gstirling_explicit is the closed form, one entry at a time, that
+# test_kernels.py keeps as the oracle of the triangle rows
+
+
 def test_explicit_base_cases():
     assert gstirling_explicit(F("5/7"), F(-2), 0, 0) == 1
     assert gstirling_explicit(1, 1, 2, 1) == 2
@@ -139,7 +142,7 @@ def test_table_row_two_at_one_one():
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_three_route_agreement(alpha, beta):
     rows = tuple(gstirling_table(alpha, beta, 8))
-    egf = gstirling_egf(alpha, beta, 8)
+    egf = column_rows(*family_columns(alpha, beta, 8))
     for n in range(9):
         for k in range(n + 1):
             assert rows[n][k] == egf[n][k]
@@ -193,7 +196,7 @@ def test_the_cache_stores_integer_rows_only_and_the_table_is_yielded(monkeypatch
     table = gstirling_table(alpha, beta, 11)
     assert isinstance(table, Iterator)
     assert tuple(table)[:7] == rows
-    assert gstirling_inverse(alpha, beta, 5, 2) != 0
+    assert scaled_inverse_rows(alpha, beta, 5)[1][5][2] != 0
     d, scaled = stirling.scaled_rows(alpha, beta, 12)
     assert d == 15 and len(scaled) == 13
     assert sorted(stirling._TRIANGLES) == sorted([(alpha, beta), (-alpha / beta, 1 / beta)])
@@ -213,31 +216,36 @@ def test_table_bounds_checked():
 # inverse triangle
 
 
+def _inverse(alpha, beta, nmax):
+    """Rows 0..nmax of the inverse triangle: ``scaled_inverse_rows`` over d'**n."""
+    d, rows = scaled_inverse_rows(alpha, beta, nmax)
+    return [[F(v, d**n) for v in row] for n, row in enumerate(rows)]
+
+
 def test_inverse_base_and_validation():
-    assert gstirling_inverse(F("2/3"), F(-2), 0, 0) == 1
+    assert _inverse(F("2/3"), F(-2), 0)[0][0] == 1
     with pytest.raises(ValueError):
-        gstirling_inverse(1, 0, 2, 1)
+        _inverse(1, 0, 2)
 
 
 def test_inverse_of_diagonal_family():
     # at (0, 1) the triangle is diagonal with entries (-1)^n, which is its
     # own matrix inverse: the inverse triangle has the same diagonal
+    inverse = _inverse(0, 1, 4)
     for n in range(5):
         for k in range(n + 1):
             expected = F(-1) ** n if k == n else 0
-            assert gstirling_inverse(0, 1, n, k) == expected
+            assert inverse[n][k] == expected
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_inverse_matrix_identity(alpha, beta):
     nmax = 8
     rows = tuple(gstirling_table(alpha, beta, nmax))
+    inverse = _inverse(alpha, beta, nmax)
     for n in range(nmax + 1):
         for k in range(n + 1):
-            acc = sum(
-                gstirling_inverse(alpha, beta, n, j) * rows[j][k]
-                for j in range(k, n + 1)
-            )
+            acc = sum(inverse[n][j] * rows[j][k] for j in range(k, n + 1))
             assert acc == (1 if n == k else 0)
 
 

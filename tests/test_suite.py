@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gstirling import family, rising, series, stirling, suite, zeros
+from test_kernels import triangle_rows
 
 F = Fraction
 
@@ -230,7 +231,7 @@ def test_partial_r_bell_rows_detect_one_wrong_sequence_term(which, index, delta)
     # a_j enters row j on; b_j enters row j - 1 on
     alpha, beta, r, nmax = F(1, 3), F(-1, 2), 2, 6
     a, b = _rbell_sequences(alpha, beta, nmax)
-    triangle = stirling.triangle_rows(r * alpha, beta, nmax)
+    triangle = triangle_rows(r * alpha, beta, nmax)
     assert stirling.partial_r_bell_rows(r, nmax, a, b) == triangle
     seq = a if which == "a" else b
     seq[index] += delta

@@ -16,6 +16,15 @@ DEAD = {
     ("series", "series_exp"),
     ("stirling", "partial_r_bell"),
     ("qpoly", "poly_gcd"),
+    ("stirling", "gstirling_explicit"),
+    ("stirling", "gstirling_egf"),
+    ("stirling", "gstirling_inverse"),
+    ("family", "addition"),
+    ("family", "to_bell_basis"),
+    ("series", "verify_gf_derivative"),
+    ("operators", "ExpMonomialSum.derivative"),
+    ("operators", "ExpMonomialSum.euler_shift"),
+    ("qpoly", "QPolynomial.__divmod__"),
 }
 
 

@@ -21,6 +21,7 @@ from gstirling.zeros import (
     square_free_part,
     sturm_chain,
 )
+from test_kernels import poly_divmod
 
 F = Fraction
 
@@ -72,15 +73,15 @@ def _check_chain(p):
     # the last member divides p and p'; the remainder steps below make it
     # their greatest common divisor
     for poly_ in (p, p.derivative()):
-        assert divmod(poly_, chain[-1])[1].is_zero
+        assert poly_divmod(poly_, chain[-1])[1].is_zero
     # each later member is the negated remainder of its two predecessors,
     # up to a positive rational factor
     for i in range(2, len(chain)):
-        _, rem = divmod(chain[i - 2], chain[i - 1])
+        _, rem = poly_divmod(chain[i - 2], chain[i - 1])
         ratio = chain[i].lead / (-rem).lead
         assert ratio > 0
         assert chain[i] * (1 / ratio) == -rem
-    assert divmod(chain[-2], chain[-1])[1].is_zero
+    assert poly_divmod(chain[-2], chain[-1])[1].is_zero
 
 
 def test_all_roots_real_examples():

@@ -13,6 +13,7 @@ from gstirling.zeros import (
     square_free_part,
     sturm_chain,
 )
+from test_kernels import euclid_gcd
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,13 +38,6 @@ def test_intervals_are_narrow_disjoint_and_bracket_a_root(coeffs, width):
         assert hi < lo
 
 
-def _euclid_gcd(p, q):
-    """Monic gcd by Euclid's loop over Fraction coefficients."""
-    while not q.is_zero:
-        p, q = q, divmod(p, q)[1]
-    return p if p.is_zero else p * (1 / p.lead)
-
-
 def _monic_gcd(p, q):
     """gcd(p, q) made monic: the last member of the remainder sequence, as
     ``zeros`` divides by it; gcd(0, 0) is the zero polynomial."""
@@ -62,8 +56,8 @@ def test_repeated_factor_gcd_and_distinct_count(cofactor, base, power):
     for _ in range(power):
         p = p * repeated
     dp = p.derivative()
-    assert _monic_gcd(p, dp) == _euclid_gcd(p, dp)
-    assert _monic_gcd(p, QPolynomial(cofactor)) == _euclid_gcd(p, QPolynomial(cofactor))
+    assert _monic_gcd(p, dp) == euclid_gcd(p, dp)
+    assert _monic_gcd(p, QPolynomial(cofactor)) == euclid_gcd(p, QPolynomial(cofactor))
     assert _count_distinct(sturm_chain(p)) == _count_distinct(sturm_chain(square_free_part(p)))
 
 
