@@ -5,8 +5,10 @@ pair (alpha, beta): the coefficients of the polynomial family in the monomial
 basis.  Around it sit its inverse, the classical Stirling numbers of both
 kinds, the Lah and r-Lah numbers (a closed form) and partial (r-)Bell values.
 ``_TRIANGLES``, the package's only cache, keeps each pair's triangle as the
-integer rows T(n, k) = d**n * S(n, k) of ``scaled_rows``, grown when read; a
-``Fraction`` row is reduced from them only where a caller reads one.  The
+integer rows T(n, k) = d**n * S(n, k) of ``scaled_rows``, the one reader that
+grows them.  ``triangle_row`` and ``gstirling_table`` walk on past the stored
+rows holding one row at a time, and reduce a ``Fraction`` row only where they
+hand one out.  The
 other routes run on integers too: the alternating sum as k! * T(n, k)
 (``explicit_rows``), the inverse triangle (``scaled_inverse_rows``), and the
 column extraction ``series.columns`` behind ``series.family_columns``,
@@ -15,6 +17,7 @@ column extraction ``series.columns`` behind ``series.family_columns``,
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, perm
@@ -52,7 +55,7 @@ def _grown(rows: tuple, nmax: int, step) -> tuple:
 @dataclass
 class _Triangle:
     """The ``_TRIANGLES`` entry of one (alpha, beta): the integer rows
-    T(m, k) = d**m * S(m, k) of ``scaled_rows``, grown only when asked for."""
+    T(m, k) = d**m * S(m, k) of ``scaled_rows``, grown by it alone."""
 
     scale: int  # (scale, a, b) is (d, alpha*d, beta*d) of ``common_scale``
     a: int
@@ -89,23 +92,44 @@ def scaled_rows(
     return entry.scale, entry.rows[: nmax + 1]
 
 
-def _reduced(d: int, rows: tuple, first: int = 0):
-    """Rows first.. of integer ``rows`` at scale d as ``Fraction`` rows of S,
-    each reduced to lowest terms as it is read."""
-    for n in range(first, len(rows)):
+def _walk(alpha: Fraction, beta: Fraction, nmax: int):
+    """(d, rows 0..nmax of ``scaled_rows`` one at a time): the pair's stored
+    rows, then rows stepped on from the last of them, each dropped once
+    yielded, so the walk stores nothing."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    entry = _TRIANGLES.get((alpha, beta)) or _Triangle(*common_scale(alpha, beta))
+
+    def rows():
+        stored = entry.rows[: nmax + 1]
+        yield from stored
+        row = stored[-1]
+        for m in range(len(stored) - 1, nmax):
+            row = entry.step(m, row)
+            yield row
+
+    return entry.scale, rows()
+
+
+def _reduced(d: int, rows):
+    """Integer rows 0.. at scale d as ``Fraction`` rows of S, each reduced to
+    lowest terms as it is read."""
+    for n, row in enumerate(rows):
         scale = d**n
-        yield tuple(Fraction(v, scale) for v in rows[n])
+        yield tuple(Fraction(v, scale) for v in row)
 
 
 def triangle_row(alpha: Fraction, beta: Fraction, n: int) -> tuple[Fraction, ...]:
-    """Row n of S(n, k) as ``Fraction``s: row n of ``scaled_rows`` over d**n."""
-    return next(_reduced(*scaled_rows(alpha, beta, n), n))
+    """Row n of S(n, k) as ``Fraction``s: the last row of the walk over d**n."""
+    d, rows = _walk(alpha, beta, n)
+    row = deque(rows, maxlen=1)[0]
+    return tuple(Fraction(v, d**n) for v in row)
 
 
 def gstirling_table(alpha, beta, nmax: int):
     """Rows 0..nmax of the triangle by its recurrence (the default, cheapest
-    route), yielded one at a time, each reduced to ``Fraction``s as it is read."""
-    return _reduced(*scaled_rows(Fraction(alpha), Fraction(beta), nmax))
+    route), walked one at a time, each reduced to ``Fraction``s as it is read."""
+    return _reduced(*_walk(Fraction(alpha), Fraction(beta), nmax))
 
 
 def _alternating_sum(products: list[int], k: int) -> int:

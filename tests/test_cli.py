@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,24 @@ def test_eval_past_the_x_cap_exits_two(capsys, x):
     code, out, err = run_cli(capsys, "eval", "--alpha", "0", "--beta", "-1", "--n", "1", "--x", x)
     assert code == 2 and out == ""
     assert f"|x| must be <= {family.MAX_ABS_X}, got {x}" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit")
+def test_poly_past_the_integer_digit_limit_exits_two(capsys):
+    # CPython refuses to print an integer of more than 4300 digits by
+    # default; denominators of 10**(60*80) reach it at n = 80
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(
+            capsys, "poly", "--alpha", f"1/{10**60}", "--beta", "-1", "--n", "80"
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
+    assert "Traceback" not in err
 
 
 def test_zeros_json_report(capsys):

@@ -75,6 +75,11 @@ def triangle_rows(alpha, beta, nmax):
     return tuple(gstirling_table(alpha, beta, nmax))
 
 
+def stored_rows():
+    """Each ``stirling._TRIANGLES`` key with the rows stored under it."""
+    return {key: getattr(entry, "rows", entry) for key, entry in stirling._TRIANGLES.items()}
+
+
 def gstirling_explicit(alpha, beta, n, k):
     """Alternating-sum closed form, an independent route to one entry:
     S(n, k) = (1/k!) * sum_{j=0..k} (-1)**(k-j) * C(k, j) * rising(-alpha - beta*j, n),
@@ -370,12 +375,18 @@ def test_poly_and_triangle_rows_agree_in_either_order(monkeypatch, poly_first):
 
 
 def test_triangle_rows_grown_past_the_integer_rows_match_the_fraction_step(monkeypatch):
-    # rows 0..9 are grown first; triangle_rows(20) grows the integer rows on
-    # to 20 and reduces every row from them
+    # rows 0..9 are stored first; triangle_rows(20) walks the integer rows on
+    # to 20 without storing them and reduces every row, and scaled_rows(20)
+    # then grows the stored rows to 20
     for alpha, beta, _ in TRIANGLE_DRAWS:
         monkeypatch.setattr(stirling, "_TRIANGLES", {})
         scaled_rows(alpha, beta, 9)
-        assert list(triangle_rows(alpha, beta, 20)) == _fraction_step_rows(alpha, beta, 20)
+        before = stored_rows()
+        expected = _fraction_step_rows(alpha, beta, 20)
+        assert list(triangle_rows(alpha, beta, 20)) == expected
+        assert stored_rows() == before
+        d, rows = scaled_rows(alpha, beta, 20)
+        assert [tuple(Fraction(v, d**m) for v in row) for m, row in enumerate(rows)] == expected
         assert len(stirling._TRIANGLES[(alpha, beta)].rows) == 21
 
 

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import deque
 from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, factorial
@@ -23,7 +25,7 @@ from gstirling.stirling import (
     verify_rbell_connection,
 )
 from gstirling.suite import GRID
-from test_kernels import gstirling_explicit, triangle_rows
+from test_kernels import gstirling_explicit, stored_rows, triangle_rows
 
 F = Fraction
 PAIRS = [
@@ -157,7 +159,11 @@ def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
     monkeypatch.setattr(stirling, "_TRIANGLES", {})
     seen, stored = [], []
     for nmax in (9, 3, 12, 0):
+        # the table walks past the stored rows and stores nothing;
+        # scaled_rows grows them
+        before = stored_rows()
         rows = triangle_rows(alpha, beta, nmax)
+        assert stored_rows() == before
         assert len(rows) == nmax + 1
         for n, row in enumerate(rows):
             assert all(type(v) is Fraction for v in row)
@@ -166,6 +172,8 @@ def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
             common = min(len(earlier), len(rows))
             assert rows[:common] == earlier[:common]
         seen.append(rows)
+        d, scaled = stirling.scaled_rows(alpha, beta, nmax)
+        assert tuple(tuple(F(v, d**n) for v in row) for n, row in enumerate(scaled)) == rows
         stored.append(stirling._TRIANGLES[(alpha, beta)].rows)
     # one entry for the pair, its integer rows grown to the largest nmax
     # asked for and rows stored earlier kept, not rebuilt
@@ -174,6 +182,46 @@ def test_triangle_rows_grow_in_any_request_order(monkeypatch, alpha, beta):
     assert len(entry.rows) == 13
     for earlier in stored:
         assert all(entry.rows[n] is row for n, row in enumerate(earlier))
+
+
+@pytest.mark.parametrize("stored", [None, 0, 5, 20])
+def test_streaming_readers_leave_the_store_as_it_was(monkeypatch, stored):
+    # triangle_row, gstirling_table and poly (so eval) walk on past the rows
+    # stored for the pair: they add no key and lengthen no entry, and each
+    # row they read is the row of scaled_rows over d**n
+    alpha, beta, n = F(5, 4), F(-7, 3), 14
+    assert (alpha, beta) not in GRID
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    stirling.scaled_rows(F(1, 2), F(-3), 4)
+    if stored is not None:
+        stirling.scaled_rows(alpha, beta, stored)
+    before = stored_rows()
+    row = triangle_row(alpha, beta, n)
+    table = tuple(gstirling_table(alpha, beta, n))
+    member = poly(FamilyParams(alpha, beta), n)
+    assert stored_rows() == before
+    d, scaled = stirling.scaled_rows(alpha, beta, n)
+    expected = tuple(tuple(F(v, d**m) for v in r) for m, r in enumerate(scaled))
+    assert table == expected
+    assert row == member.coefficients == expected[n]
+
+
+def _traced_peak(read):
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streaming_readers_hold_one_row(monkeypatch):
+    # grown in the store, rows 0..400 and 0..300 of these pairs peak at
+    # about 27 and 12 MiB; the walk holds one integer row at a time
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    assert _traced_peak(lambda: triangle_row(F(1, 3), F(-7, 5), 400)) < 4 * 2**20
+    assert _traced_peak(lambda: deque(gstirling_table(F(11, 6), F(-14, 9), 300), maxlen=0)) < 4 * 2**20
+    assert stirling._TRIANGLES == {}
 
 
 def _leaves(value):
@@ -210,6 +258,8 @@ def test_table_bounds_checked():
     assert [len(row) for row in rows] == [1, 2, 3, 4]
     with pytest.raises(ValueError, match="nmax must be >= 0"):
         gstirling_table(1, 1, -1)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        triangle_row(F(1), F(1), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_log_concave_detects_one_shrunk_integer_entry(monkeypatch):
     assert not suite.log_concave_ok(alpha, beta, 8)
 
 
-@pytest.mark.parametrize("route", ["gstirling_explicit", "gstirling_egf"])
+@pytest.mark.parametrize("route", ["explicit_rows", "family_columns"])
 def test_triple_route_detects_a_wrong_entry_on_either_route(monkeypatch, route):
     # entry (4, 2) one off on one route: the explicit sum 2! * T(4, 2), or
     # entry 4 of column 2 of the series extraction, T(4, 2)
@@ -211,7 +211,7 @@ def test_triple_route_detects_a_wrong_entry_on_either_route(monkeypatch, route):
             cols[2][4] += 1
         return cols
 
-    if route == "gstirling_explicit":
+    if route == "explicit_rows":
         monkeypatch.setattr(stirling, "explicit_rows", wrong_explicit)
     else:
         monkeypatch.setattr(series, "columns", wrong_columns)
