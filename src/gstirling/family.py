@@ -35,8 +35,9 @@ class FamilyParams:
 
 def poly(params: FamilyParams, n: int) -> QPolynomial:
     """Degree-n member of the family, with triangle row n as coefficients:
-    integer row n of the pair's cached triangle reduced over d**n
-    (``triangle_row``), the only row turned into ``Fraction``s for it."""
+    integer row n of the pair's triangle, walked on past the stored rows and
+    reduced over d**n (``triangle_row``), the only row turned into
+    ``Fraction``s for it."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return QPolynomial(triangle_row(params.alpha, params.beta, n))
@@ -159,7 +160,8 @@ def rebase(params_from: FamilyParams, params_to: FamilyParams, n: int) -> list[F
         raise ValueError(f"n must be >= 0, got {n}")
     a, b = params_from.alpha, params_from.beta
     a2, b2 = params_to.alpha, params_to.beta
-    composed = triangle_row(a - (a2 / b2) * b, b / b2, n)
+    d, rows = scaled_rows(a - (a2 / b2) * b, b / b2, n)  # stored: callers loop over n
+    composed = [Fraction(v, d**n) for v in rows[n]]
     return [composed[j] if j % 2 == 0 else -composed[j] for j in range(n + 1)]
 
 

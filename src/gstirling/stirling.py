@@ -38,18 +38,25 @@ def _check_indices(n: int, k: int) -> None:
 _TRIANGLES: dict = {}
 
 
+def _walk(rows: tuple, step, nmax: int):
+    """Rows 0..nmax one at a time: the stored ``rows``, then rows stepped on
+    from the last of them, row m+1 being ``step(m, row_m)``, each dropped
+    once yielded."""
+    stored = rows[: nmax + 1]
+    yield from stored
+    row = stored[-1]
+    for m in range(len(stored) - 1, nmax):
+        row = step(m, row)
+        yield row
+
+
 def _grown(rows: tuple, nmax: int, step) -> tuple:
-    """``rows`` extended to rows 0..nmax, row m+1 being ``step(m, row_m)``.
+    """``rows`` extended to rows 0..nmax by the walk.
 
     A longer tuple replaces the stored one, so rows already handed out
     never change.
     """
-    if len(rows) > nmax:
-        return rows
-    grown = list(rows)
-    for m in range(len(rows) - 1, nmax):
-        grown.append(step(m, grown[m]))
-    return tuple(grown)
+    return rows if len(rows) > nmax else tuple(_walk(rows, step, nmax))
 
 
 @dataclass
@@ -74,6 +81,13 @@ class _Triangle:
         return tuple((m * d - a - b * j) * padded[j + 1] - b * padded[j] for j in range(m + 2))
 
 
+def _entry(alpha: Fraction, beta: Fraction, nmax: int) -> _Triangle:
+    """The pair's ``_TRIANGLES`` entry, or a fresh one that is not stored."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    return _TRIANGLES.get((alpha, beta)) or _Triangle(*common_scale(alpha, beta))
+
+
 def scaled_rows(
     alpha: Fraction, beta: Fraction, nmax: int
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -83,32 +97,9 @@ def scaled_rows(
     callers that need one row reduce only that.  One triangle is kept per
     (alpha, beta) and grown when a larger nmax is asked for.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    entry = _TRIANGLES.get((alpha, beta))
-    if entry is None:
-        entry = _TRIANGLES[(alpha, beta)] = _Triangle(*common_scale(alpha, beta))
+    entry = _TRIANGLES[(alpha, beta)] = _entry(alpha, beta, nmax)
     entry.rows = _grown(entry.rows, nmax, entry.step)
     return entry.scale, entry.rows[: nmax + 1]
-
-
-def _walk(alpha: Fraction, beta: Fraction, nmax: int):
-    """(d, rows 0..nmax of ``scaled_rows`` one at a time): the pair's stored
-    rows, then rows stepped on from the last of them, each dropped once
-    yielded, so the walk stores nothing."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    entry = _TRIANGLES.get((alpha, beta)) or _Triangle(*common_scale(alpha, beta))
-
-    def rows():
-        stored = entry.rows[: nmax + 1]
-        yield from stored
-        row = stored[-1]
-        for m in range(len(stored) - 1, nmax):
-            row = entry.step(m, row)
-            yield row
-
-    return entry.scale, rows()
 
 
 def _reduced(d: int, rows):
@@ -121,15 +112,16 @@ def _reduced(d: int, rows):
 
 def triangle_row(alpha: Fraction, beta: Fraction, n: int) -> tuple[Fraction, ...]:
     """Row n of S(n, k) as ``Fraction``s: the last row of the walk over d**n."""
-    d, rows = _walk(alpha, beta, n)
-    row = deque(rows, maxlen=1)[0]
-    return tuple(Fraction(v, d**n) for v in row)
+    entry = _entry(alpha, beta, n)
+    last = deque(_walk(entry.rows, entry.step, n), maxlen=1)[0]
+    return tuple(Fraction(v, entry.scale**n) for v in last)
 
 
 def gstirling_table(alpha, beta, nmax: int):
     """Rows 0..nmax of the triangle by its recurrence (the default, cheapest
     route), walked one at a time, each reduced to ``Fraction``s as it is read."""
-    return _reduced(*_walk(Fraction(alpha), Fraction(beta), nmax))
+    entry = _entry(Fraction(alpha), Fraction(beta), nmax)
+    return _reduced(entry.scale, _walk(entry.rows, entry.step, nmax))
 
 
 def _alternating_sum(products: list[int], k: int) -> int:

@@ -260,9 +260,10 @@ def log_concave_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 def _dobinski_close(params, n: int, scale: int = 1) -> bool:
     # tolerance is relative: family values on this grid reach ~1e10, where
     # an absolute 1e-10 would be below double-precision resolution
+    member = family.poly(params, n)
     for x in DOBINSKI_POINTS:
         approx = family.eval_dobinski(params, n, x, DOBINSKI_EPS) / scale
-        exact = float(family.poly(params, n)(x) / scale)
+        exact = float(member(x) / scale)
         if abs(approx - exact) > DOBINSKI_TOL * max(1.0, abs(exact)):
             return False
     return True
@@ -272,7 +273,10 @@ def specializations_ok(nmax: int) -> list[tuple[str, bool]]:
     """(detail, ok) for each named specialization, in print order."""
     results = []
 
+    # each pair's rows are stored first, so the members read per n below
+    # are sliced off them instead of re-walked from row 0
     for name, params in (("U", family.U_PARAMS), ("V", family.V_PARAMS)):
+        stirling.scaled_rows(params.alpha, params.beta, nmax)
         ok = all(_dobinski_close(params, n) for n in range(nmax + 1))
         ok = ok and stirling.verify_rbell_connection(
             params.alpha, params.beta, 1, nmax
@@ -285,6 +289,7 @@ def specializations_ok(nmax: int) -> list[tuple[str, bool]]:
 
     for lam in (Fraction(0), Fraction(1), Fraction(5, 2)):
         lparams = family.laguerre_params(lam)
+        stirling.scaled_rows(lparams.alpha, lparams.beta, nmax)
         ok = True
         for n in range(nmax + 1):
             if not _dobinski_close(lparams, n, scale=factorial(n)):
@@ -301,6 +306,7 @@ def specializations_ok(nmax: int) -> list[tuple[str, bool]]:
     for m in (1, 2, 3):
         ok = True
         lah_params = family.FamilyParams(Fraction(0), Fraction(-m))
+        stirling.scaled_rows(lah_params.alpha, lah_params.beta, nmax)
         bell = stirling.partial_r_bell_rows(0, nmax, [rising(m, j) for j in range(1, nmax + 1)])
         for n in range(nmax + 1):
             if family.family_assoc_lah(m, n) != QPolynomial(bell[n]):

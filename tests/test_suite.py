@@ -1,5 +1,6 @@
 """Failing paths of the suite batches: each must notice one wrong input."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,22 @@ def test_rbell_connection_detects_one_wrong_sequence_term(monkeypatch):
     assert stirling.verify_rbell_connection(F(1, 3), F(-1, 2), 2, 2)
     assert not stirling.verify_rbell_connection(F(1, 3), F(-1, 2), 2, 3)
     assert not suite.rbell_ok(F(1, 3), F(-1, 2), 4)
+
+
+@pytest.mark.parametrize("identity", ["rebase", "lah-rebase", "specializations"])
+def test_batch_checks_step_each_stored_row_once(monkeypatch, identity):
+    # these checks read one member per n; read off the rows scaled_rows
+    # stores, each row of a pair is stepped once, where a walk per n would
+    # step rows 0..n again for every n
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    stepped = Counter()
+    step = stirling._Triangle.step
+
+    def counted(self, m, row):
+        stepped[self.scale, self.a, self.b, m] += 1
+        return step(self, m, row)
+
+    monkeypatch.setattr(stirling._Triangle, "step", counted)
+    results, _ = suite.single_results(identity, nmax=12)
+    assert results and all(r.ok for r in results)
+    assert [key for key, count in stepped.items() if count > 1] == []
